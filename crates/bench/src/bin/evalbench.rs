@@ -6,14 +6,12 @@
 //! evalbench [OUTPUT.json] [--floors] [--mock-synth PATH]
 //! ```
 //!
-//! Times three surfaces and writes a JSON summary (default
+//! Times four surfaces and writes a JSON summary (default
 //! `BENCH_evalpipeline.json`):
 //!
 //! * **eval_batch** — one identical GA search at every worker count in
 //!   the 1/2/4/8 matrix, verifying bit-for-bit equal outcomes along the
 //!   way and recording per-count wall clock against the serial baseline.
-//! * **cache_sharded** — the pre-refactor monolithic `RwLock<HashMap>`
-//!   cache vs the lock-free-read [`ShardedCache`], hammered by 8 threads.
 //! * **dataset_query** — `top_fraction_threshold` on the 27,648-point
 //!   router dataset: the old sort-per-call algorithm vs the memoized
 //!   sorted-column index (the PR 5's >= 5x acceptance headline).
@@ -36,28 +34,21 @@
 //!   parallelism cannot help — a sanity bound on pool/SoA overhead that
 //!   tolerates scheduler noise on single-thread shared hosts;
 //! * batched eval must be *strictly faster* than serial when the host
-//!   has >= 2 hardware threads (skipped, loudly, on smaller hosts);
-//! * the sharded cache must be >= 1.0x the monolithic baseline under the
-//!   8-thread read-mostly hammer.
+//!   has >= 2 hardware threads (skipped, loudly, on smaller hosts).
 //!
 //! The dataset-query >= 5x floor is always enforced, with or without
 //! `--floors`. `scripts/bench.sh` decides whether `--floors` applies by
 //! comparing this host's thread count against the committed run's
 //! recorded `host_threads`.
 
-use std::collections::HashMap;
 use std::process::ExitCode;
-use std::sync::{Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use nautilus::{Nautilus, Phase, Query, Tracer};
 use nautilus_ga::{Direction, GaSettings, Genome};
 use nautilus_noc::router::RouterModel;
-use nautilus_synth::{CostModel, Dataset, MetricExpr, MetricSet, ShardedCache};
+use nautilus_synth::{CostModel, Dataset, MetricExpr, MetricSet};
 
-const HAMMER_THREADS: u32 = 8;
-const HAMMER_OPS_PER_THREAD: u32 = 200_000;
-const HAMMER_DISTINCT: u32 = 4096;
 const QUERY_CALLS: usize = 200;
 
 fn ms(d: Duration) -> f64 {
@@ -164,107 +155,6 @@ fn trace_eval_batch() -> (String, String) {
         })
         .collect();
     (members.join(",\n"), top)
-}
-
-/// The pre-refactor cache design, kept here as the measurement baseline:
-/// one `RwLock` around the whole map plus one `Mutex` around the stats
-/// counters, charged on every lookup exactly as the old runner did.
-struct MonolithicCache {
-    map: RwLock<HashMap<Genome, Option<MetricSet>>>,
-    stats: Mutex<nautilus_synth::JobStats>,
-}
-
-impl MonolithicCache {
-    fn lookup_or_insert(&self, genome: &Genome) {
-        let stats = || self.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.map.read().unwrap_or_else(PoisonError::into_inner).get(genome).is_some() {
-            stats().cache_hits += 1;
-            return;
-        }
-        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
-        if map.get(genome).is_none() {
-            map.insert(genome.clone(), None);
-            drop(map);
-            stats().infeasible += 1;
-        } else {
-            drop(map);
-            stats().cache_hits += 1;
-        }
-    }
-}
-
-fn hammer(op: impl Fn(u32, u32) + Sync) -> Duration {
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..HAMMER_THREADS {
-            let op = &op;
-            scope.spawn(move || {
-                for i in 0..HAMMER_OPS_PER_THREAD {
-                    op(t, i);
-                }
-            });
-        }
-    });
-    start.elapsed()
-}
-
-fn bench_cache_sharded() -> (f64, f64, u64) {
-    let genomes: Vec<Genome> =
-        (0..HAMMER_DISTINCT).map(|i| Genome::from_genes(vec![i % 64, i / 64, i % 7])).collect();
-    // Offset start points per thread so first touches interleave.
-    let pick = |t: u32, i: u32| &genomes[((i + t * 37) % HAMMER_DISTINCT) as usize];
-
-    // Same sampling policy as the eval-batch matrix: interleaved
-    // best-of-`ROUNDS`, because the >= 1.0x floor cannot hold on a single
-    // sample from a shared host. Fresh caches each round so every sample
-    // pays the same insert phase.
-    const ROUNDS: usize = 5;
-    let (mut mono_best, mut sharded_best) = (f64::INFINITY, f64::INFINITY);
-    let mut contentions = 0;
-    for _ in 0..ROUNDS {
-        let mono = MonolithicCache {
-            map: RwLock::new(HashMap::new()),
-            stats: Mutex::new(nautilus_synth::JobStats::default()),
-        };
-        let mono_time = hammer(|t, i| mono.lookup_or_insert(pick(t, i)));
-        assert_eq!(
-            mono.map.read().unwrap_or_else(PoisonError::into_inner).len() as u32,
-            HAMMER_DISTINCT
-        );
-        mono_best = mono_best.min(ms(mono_time));
-
-        let sharded = ShardedCache::new();
-        let sharded_time = hammer(|t, i| {
-            let g = pick(t, i);
-            if sharded.lookup(g).is_none() {
-                sharded.insert_or_hit(g, &None, 0);
-            }
-        });
-        assert_eq!(sharded.len() as u32, HAMMER_DISTINCT);
-        sharded_best = sharded_best.min(ms(sharded_time));
-        contentions = sharded.contentions();
-    }
-    (mono_best, sharded_best, contentions)
-}
-
-/// Repeats the sharded hammer with per-shard lock-wait timing enabled
-/// (untimed pass, so the headline numbers above stay comparable) and
-/// returns `(acquisitions, total wait ms, max wait us)` — the shard
-/// result's own attribution: its only non-work phase is lock waiting.
-fn trace_cache_sharded() -> (u64, f64, f64) {
-    let genomes: Vec<Genome> =
-        (0..HAMMER_DISTINCT).map(|i| Genome::from_genes(vec![i % 64, i / 64, i % 7])).collect();
-    let pick = |t: u32, i: u32| &genomes[((i + t * 37) % HAMMER_DISTINCT) as usize];
-    let sharded = ShardedCache::new();
-    sharded.enable_lock_timing();
-    hammer(|t, i| {
-        let g = pick(t, i);
-        if sharded.lookup(g).is_none() {
-            sharded.insert_or_hit(g, &None, 0);
-        }
-    });
-    let (waits, total_nanos, max_nanos) = sharded.lock_wait_totals();
-    (waits, total_nanos as f64 / 1e6, max_nanos as f64 / 1e3)
 }
 
 /// Submit -> result round-trip latency through a real `nautilus-serve`
@@ -387,10 +277,6 @@ fn main() -> ExitCode {
         eprintln!("  workers {workers}: {t:.1} ms ({:.2}x serial)", serial_ms / t);
     }
 
-    eprintln!("cache_sharded: monolithic vs sharded, {HAMMER_THREADS} threads ...");
-    let (mono_ms, sharded_ms, contentions) = bench_cache_sharded();
-    eprintln!("  monolithic {mono_ms:.1} ms, sharded {sharded_ms:.1} ms");
-
     eprintln!("dataset_query: {QUERY_CALLS} thresholds on the router dataset ...");
     let (linear_ms, indexed_ms, points) = bench_dataset_query();
     eprintln!("  sort-per-call {linear_ms:.1} ms, indexed {indexed_ms:.1} ms");
@@ -429,11 +315,9 @@ fn main() -> ExitCode {
         }
     };
 
-    eprintln!("phase_attribution: traced re-runs of the batch and shard surfaces ...");
+    eprintln!("phase_attribution: traced re-run of the batch surface ...");
     let (batch_phases, batch_top) = trace_eval_batch();
-    let (lock_waits, lock_wait_ms, lock_wait_max_us) = trace_cache_sharded();
     eprintln!("  eval_batch top overhead phase: {batch_top}");
-    eprintln!("  cache_sharded lock waits: {lock_waits} ({lock_wait_ms:.2} ms total)");
 
     let query_speedup = linear_ms / indexed_ms;
     let matrix_rows: Vec<String> = matrix
@@ -460,15 +344,6 @@ fn main() -> ExitCode {
             "{matrix_rows}\n",
             "    ]\n",
             "  }},\n",
-            "  \"cache_sharded\": {{\n",
-            "    \"threads\": {threads},\n",
-            "    \"ops\": {ops},\n",
-            "    \"distinct_points\": {distinct},\n",
-            "    \"monolithic_ms\": {mono:.2},\n",
-            "    \"sharded_ms\": {sharded:.2},\n",
-            "    \"speedup\": {cache_speedup:.2},\n",
-            "    \"contentions\": {contentions}\n",
-            "  }},\n",
             "  \"dataset_query\": {{\n",
             "    \"points\": {points},\n",
             "    \"calls\": {calls},\n",
@@ -490,12 +365,6 @@ fn main() -> ExitCode {
             "      \"phases\": {{\n",
             "{batch_phases}\n",
             "      }}\n",
-            "    }},\n",
-            "    \"cache_sharded\": {{\n",
-            "      \"top_overhead_phase\": \"shard_lock_wait\",\n",
-            "      \"lock_waits\": {lock_waits},\n",
-            "      \"lock_wait_ms\": {lock_wait_ms:.3},\n",
-            "      \"lock_wait_max_us\": {lock_wait_max_us:.1}\n",
             "    }}\n",
             "  }}\n",
             "}}\n",
@@ -505,13 +374,6 @@ fn main() -> ExitCode {
         serial = serial_ms,
         parallel = parallel_ms,
         batch_speedup = serial_ms / parallel_ms,
-        threads = HAMMER_THREADS,
-        ops = u64::from(HAMMER_THREADS) * u64::from(HAMMER_OPS_PER_THREAD),
-        distinct = HAMMER_DISTINCT,
-        mono = mono_ms,
-        sharded = sharded_ms,
-        cache_speedup = mono_ms / sharded_ms,
-        contentions = contentions,
         points = points,
         calls = QUERY_CALLS,
         linear = linear_ms,
@@ -523,9 +385,6 @@ fn main() -> ExitCode {
         subprocess_block = subprocess_block,
         batch_top = batch_top,
         batch_phases = batch_phases,
-        lock_waits = lock_waits,
-        lock_wait_ms = lock_wait_ms,
-        lock_wait_max_us = lock_wait_max_us,
     );
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");
@@ -576,18 +435,10 @@ fn main() -> ExitCode {
                  (this host has {host_threads})"
             );
         }
-        let cache_speedup = mono_ms / sharded_ms;
-        if cache_speedup < 1.0 {
-            eprintln!(
-                "FAIL floor: sharded cache {cache_speedup:.3}x monolithic under the \
-                 8-thread hammer (need >= 1.0x)"
-            );
-            failed = true;
-        }
         if failed {
             return ExitCode::FAILURE;
         }
-        eprintln!("perf floors hold: 1-worker >= 0.99x, batched >= 0.90x, sharded >= 1.0x mono");
+        eprintln!("perf floors hold: 1-worker >= 0.99x, batched >= 0.90x");
     }
     eprintln!("wrote {out_path}");
     ExitCode::SUCCESS

@@ -13,6 +13,7 @@
 //! cargo run --release -p nautilus-bench --bin experiments -- --quick all
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -233,14 +233,8 @@ mod tests {
             let text = fs::read_to_string(&a.trace_path).unwrap();
             let summary = traceview::summarize(&traceview::parse_trace(&text).unwrap());
             // Serial runs put every span on the merge track, so self
-            // times telescope to the wall clock; only the shard-lock
-            // aggregate double-counts (its time sits inside eval spans).
-            let attributed: f64 = summary
-                .phases
-                .iter()
-                .filter(|p| p.phase != "shard_lock_wait")
-                .map(|p| p.self_us)
-                .sum();
+            // times telescope to the wall clock.
+            let attributed: f64 = summary.phases.iter().map(|p| p.self_us).sum();
             let drift = (attributed - summary.wall_us).abs() / summary.wall_us;
             assert!(
                 drift < 0.05,

@@ -50,26 +50,13 @@ pub struct TraceSpan {
     pub dur_us: f64,
 }
 
-/// An aggregate-only phase entry (the `phaseAggregates` sidecar block).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AggregateStat {
-    /// Occurrences folded into the aggregate.
-    pub count: u64,
-    /// Total time across occurrences, nanoseconds.
-    pub total_nanos: u64,
-    /// Longest single occurrence, nanoseconds.
-    pub max_nanos: u64,
-}
-
-/// A parsed trace file: named tracks, complete spans, and aggregates.
+/// A parsed trace file: named tracks and complete spans.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceData {
     /// Track index → track name, from `thread_name` metadata events.
     pub tracks: BTreeMap<u32, String>,
     /// Complete spans in file order (sorted by track, then start).
     pub spans: Vec<TraceSpan>,
-    /// Aggregate-only phases by label.
-    pub aggregates: BTreeMap<String, AggregateStat>,
 }
 
 /// Parses a Chrome/Perfetto trace-event JSON file as written by
@@ -79,7 +66,8 @@ pub struct TraceData {
 ///
 /// Rejects anything that is not a JSON object with a `traceEvents`
 /// array of well-formed metadata/span events whose spans all reference
-/// named tracks.
+/// named tracks. Other top-level members are ignored, including the
+/// aggregate sidecar that traces from older builds carry.
 pub fn parse_trace(text: &str) -> Result<TraceData, TraceViewError> {
     let root = match parse_json(text) {
         Ok(v) => v,
@@ -138,22 +126,6 @@ pub fn parse_trace(text: &str) -> Result<TraceData, TraceViewError> {
             return malformed(format!("span {i} references unnamed track {}", s.track));
         }
     }
-    if let Some(aggs) = root.get("phaseAggregates") {
-        let members = match aggs.as_obj() {
-            Some(members) => members,
-            None => return malformed("`phaseAggregates` is not an object"),
-        };
-        for (label, v) in members {
-            let field = |k: &str| v.get(k).and_then(JsonValue::as_u64);
-            match (field("count"), field("total_nanos"), field("max_nanos")) {
-                (Some(count), Some(total_nanos), Some(max_nanos)) => {
-                    data.aggregates
-                        .insert(label.clone(), AggregateStat { count, total_nanos, max_nanos });
-                }
-                _ => return malformed(format!("phaseAggregates.{label}: bad aggregate")),
-            }
-        }
-    }
     Ok(data)
 }
 
@@ -162,7 +134,7 @@ pub fn parse_trace(text: &str) -> Result<TraceData, TraceViewError> {
 pub struct PhaseRow {
     /// Phase label.
     pub phase: String,
-    /// Number of spans (or aggregate occurrences).
+    /// Number of spans.
     pub count: u64,
     /// Total time, microseconds.
     pub total_us: f64,
@@ -195,10 +167,10 @@ pub struct TrackRow {
 /// one carrying the `run` root span — the merge thread), so its self
 /// times telescope to the run's wall clock and `wall%` sums to ~100%.
 /// Spans recorded by other tracks (parallel eval workers) land in
-/// [`TraceSummary::worker_phases`] together with aggregate-only phases;
-/// that table reports concurrent CPU time, which exceeds wall clock as
-/// soon as two workers overlap — mixing the two tables into one, as
-/// earlier versions did, silently inflated `wall%` on multi-worker runs.
+/// [`TraceSummary::worker_phases`]; that table reports concurrent CPU
+/// time, which exceeds wall clock as soon as two workers overlap — mixing
+/// the two tables into one, as earlier versions did, silently inflated
+/// `wall%` on multi-worker runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSummary {
     /// Run wall clock, microseconds (the `run` root span, or the overall
@@ -207,9 +179,9 @@ pub struct TraceSummary {
     /// Primary-track (merge-thread) attribution, largest self time first.
     /// Self times telescope to the wall clock.
     pub phases: Vec<PhaseRow>,
-    /// Cross-worker aggregate: spans from every non-primary track plus
-    /// aggregate-only phases, largest self time first. Totals are summed
-    /// CPU time across concurrent workers and may exceed the wall clock.
+    /// Cross-worker aggregate: spans from every non-primary track,
+    /// largest self time first. Totals are summed CPU time across
+    /// concurrent workers and may exceed the wall clock.
     pub worker_phases: Vec<PhaseRow>,
     /// Per-track busy time and utilization, in track order.
     pub tracks: Vec<TrackRow>,
@@ -301,15 +273,6 @@ pub fn summarize(data: &TraceData) -> TraceSummary {
         while let Some(o) = open.pop() {
             settle(totals, o);
         }
-    }
-    // Aggregate-only phases (e.g. shard lock waits) accumulate across all
-    // evaluator threads, so they belong to the cross-worker table.
-    for (label, agg) in &data.aggregates {
-        let us = agg.total_nanos as f64 / 1000.0;
-        let entry = workers.entry(label.clone()).or_default();
-        entry.0 += agg.count;
-        entry.1 += us;
-        entry.2 += us;
     }
     let rows = |totals: BTreeMap<String, (u64, f64, f64)>| -> Vec<PhaseRow> {
         let mut rows: Vec<PhaseRow> = totals
@@ -440,9 +403,6 @@ pub struct TraceDigest {
     pub phase_counts: BTreeMap<String, u64>,
     /// Track name → ordered sequence of phase labels on that track.
     pub sequences: BTreeMap<String, Vec<String>>,
-    /// Aggregate label → occurrence count (times are timing, counts are
-    /// logic).
-    pub aggregate_counts: BTreeMap<String, u64>,
 }
 
 /// Reduces a trace to its [`TraceDigest`].
@@ -458,12 +418,7 @@ pub fn digest(data: &TraceData) -> TraceDigest {
         let name = &data.tracks[&s.track];
         sequences.entry(name.clone()).or_default().push(s.phase.clone());
     }
-    TraceDigest {
-        tracks: data.tracks.values().cloned().collect(),
-        phase_counts,
-        sequences,
-        aggregate_counts: data.aggregates.iter().map(|(k, v)| (k.clone(), v.count)).collect(),
-    }
+    TraceDigest { tracks: data.tracks.values().cloned().collect(), phase_counts, sequences }
 }
 
 /// Compares two digests, returning one human-readable line per logical
@@ -497,17 +452,6 @@ pub fn diff_digests(a: &TraceDigest, b: &TraceDigest) -> Vec<String> {
                     .unwrap_or(seq_a.len().min(seq_b.len()));
                 out.push(format!("track `{name}`: span sequences diverge at index {at}"));
             }
-        }
-    }
-    let keys: BTreeSet<&String> =
-        a.aggregate_counts.keys().chain(b.aggregate_counts.keys()).collect();
-    for k in keys {
-        let (ca, cb) = (
-            a.aggregate_counts.get(k).copied().unwrap_or(0),
-            b.aggregate_counts.get(k).copied().unwrap_or(0),
-        );
-        if ca != cb {
-            out.push(format!("aggregate `{k}`: {ca} occurrences vs {cb}"));
         }
     }
     out
@@ -659,7 +603,7 @@ mod tests {
     use super::*;
     use nautilus::{Phase, Tracer};
 
-    /// A tracer exercising nesting, two tracks, and an aggregate.
+    /// A tracer exercising nesting and two tracks.
     fn sample_tracer() -> Tracer {
         let tracer = Tracer::new();
         {
@@ -678,7 +622,6 @@ mod tests {
             worker.time(Phase::MissEval, || std::hint::black_box(2));
             worker.time(Phase::MissEval, || std::hint::black_box(2));
         }
-        tracer.add_aggregate(Phase::ShardLockWait, 4, 900, 400);
         tracer
     }
 
@@ -691,10 +634,20 @@ mod tests {
             vec!["merge".to_owned(), "worker-0".to_owned()]
         );
         assert_eq!(data.spans.len(), 7);
-        assert_eq!(
-            data.aggregates["shard_lock_wait"],
-            AggregateStat { count: 4, total_nanos: 900, max_nanos: 400 }
+
+        // A trace from an older build carries an aggregate sidecar, which
+        // is ignored.
+        let old = concat!(
+            r#"{"traceEvents":["#,
+            r#"{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"merge"}},"#,
+            r#"{"ph":"X","pid":1,"tid":0,"name":"run","cat":"nautilus","ts":0.0,"dur":2.0}"#,
+            r#"],"displayTimeUnit":"ms","#,
+            r#""phaseAggregates":{"shard_lock_wait":{"count":2,"total_nanos":500,"max_nanos":300}}}"#,
         );
+        let data = parse_trace(old).unwrap();
+        assert_eq!(data.tracks[&0], "merge");
+        assert_eq!(data.spans.len(), 1);
+        assert!(summarize(&data).worker_phases.is_empty());
     }
 
     #[test]
@@ -711,14 +664,11 @@ mod tests {
             "self times must telescope: {merge_self} vs {}",
             summary.wall_us
         );
-        // Worker-track spans and aggregate-only phases land in the
-        // cross-worker table, never in the primary one.
+        // Worker-track spans land in the cross-worker table, never in the
+        // primary one.
         assert!(summary.phases.iter().all(|p| p.phase != "miss_eval"));
         let miss = summary.worker_phases.iter().find(|p| p.phase == "miss_eval").unwrap();
         assert_eq!(miss.count, 2);
-        let waits = summary.worker_phases.iter().find(|p| p.phase == "shard_lock_wait").unwrap();
-        assert_eq!(waits.count, 4);
-        assert!((waits.total_us - 0.9).abs() < 1e-9);
         let worker = summary.tracks.iter().find(|t| t.track == "worker-0").unwrap();
         assert!(worker.busy_us > 0.0);
         assert!(summary.critical_path_us <= summary.wall_us + 1e-9);
@@ -735,7 +685,6 @@ mod tests {
         assert_eq!(a, b);
         assert!(diff_digests(&a, &b).is_empty());
         assert_eq!(a.sequences["worker-0"], vec!["miss_eval", "miss_eval"]);
-        assert_eq!(a.aggregate_counts["shard_lock_wait"], 4);
     }
 
     #[test]
@@ -762,7 +711,6 @@ mod tests {
             "{\"traceEvents\": [{\"ph\": \"X\", \"tid\": 0, \"name\": \"run\", \"ts\": 0.0}]}",
             // Span on a track with no thread_name metadata.
             "{\"traceEvents\": [{\"ph\": \"X\", \"tid\": 9, \"name\": \"run\", \"ts\": 0.0, \"dur\": 1.0}]}",
-            "{\"traceEvents\": [], \"phaseAggregates\": {\"run\": {\"count\": 1}}}",
         ] {
             assert!(parse_trace(bad).is_err(), "accepted malformed trace: {bad}");
         }

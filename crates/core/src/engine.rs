@@ -7,7 +7,7 @@ use nautilus_ga::{
     RankRoulette, RetryPolicy, RunBudget, SearchState, SupervisePolicy, Supervisor,
 };
 use nautilus_obs::{
-    BatchEventBuffer, Fanout, Phase, ReportBuilder, RunReport, SearchObserver, Tracer, WireReader,
+    BatchEventBuffer, Fanout, ReportBuilder, RunReport, SearchObserver, Tracer, WireReader,
     WireWriter,
 };
 use nautilus_proc::{StashModel, SubprocessConfig, SubprocessEvaluator};
@@ -258,9 +258,7 @@ impl<'m> Nautilus<'m> {
 
     /// Records per-phase span timelines of every subsequent run into
     /// `tracer` (see [`nautilus_obs::Tracer`]): GA phases on the merge
-    /// thread, per-worker evaluation spans, and — on fault-plan and
-    /// subprocess runs, whose job runner keeps its own memo — the
-    /// synthesis cache's shard-lock wait totals folded in as an aggregate.
+    /// thread and per-worker evaluation spans.
     ///
     /// Tracing is determinism-safe: span buffers flush only at generation
     /// boundaries and never touch the search RNG or event stream, so
@@ -621,12 +619,6 @@ impl<'m> Nautilus<'m> {
             SynthJobRunner::without_memo(model)
         }
         .with_observer(&buffered);
-        if self.tracer.is_some() {
-            // Shard-lock wait timing is off by default (one atomic load per
-            // acquisition when off); traced runs pay for it and fold the
-            // totals into the phase attribution below.
-            runner.enable_lock_timing();
-        }
         // Synthesis-job counters accumulated by the interrupted process
         // ride in the checkpoint's aux blob; the fresh runner restarts at
         // zero and the offset is added back everywhere totals surface.
@@ -719,17 +711,8 @@ impl<'m> Nautilus<'m> {
             Some((state, _)) => engine.resume(state)?,
             None => engine.run(seed)?,
         };
-        if let Some(tracer) = self.tracer {
-            // Lock waits happen inside worker evaluation spans; recording
-            // them as an aggregate (not timeline spans) keeps the cache's
-            // hot path allocation-free while the attribution still shows
-            // contention cost. A memo-less runner takes no locks.
-            if let Some((waits, total, max)) = runner.lock_wait_totals() {
-                tracer.add_aggregate(Phase::ShardLockWait, waits, total, max);
-            }
-            if let Some(builder) = report {
-                builder.attach_phases(tracer.phase_stats());
-            }
+        if let (Some(tracer), Some(builder)) = (self.tracer, report) {
+            builder.attach_phases(tracer.phase_stats());
         }
         Ok(SearchOutcome {
             strategy: label.to_owned(),
@@ -812,6 +795,7 @@ mod tests {
     use crate::hint::HintSet;
     use crate::query::Query;
     use nautilus_ga::{ParamSpace, ParamValue};
+    use nautilus_obs::Phase;
     use nautilus_synth::{MetricCatalog, MetricExpr, MetricSet};
 
     /// A 4-parameter model with strong structure for guidance tests:
@@ -995,15 +979,9 @@ mod tests {
                 assert!(stats.contains_key(&Phase::BatchMerge));
             }
             assert_eq!(stats[&Phase::Run].count, 1);
-            // The plain path's job runner keeps no memo, so it takes no
-            // shard locks and the attribution carries no lock aggregate.
-            assert!(
-                !stats.contains_key(&Phase::ShardLockWait),
-                "plain run timed shard locks at {workers} workers"
-            );
 
             // A zero-rate fault plan keeps the runner memo without
-            // changing the search; every shard-lock acquisition is timed.
+            // changing the search.
             let tracer = Tracer::new();
             let engine = Nautilus::new(&model)
                 .with_eval_workers(workers)
@@ -1011,12 +989,11 @@ mod tests {
                 .with_fault_plan(FaultPlan::new(3));
             let g = engine.run_guided(&q, &h, Some(Confidence::STRONG), 17).unwrap();
             assert_eq!(g, plain, "memoized tracing perturbed the outcome at {workers} workers");
-            assert!(tracer.phase_stats()[&Phase::ShardLockWait].count > 0);
         }
     }
 
     /// The logical-stream contract: timing payloads legitimately differ
-    /// between runs; batch-shape, shard-contention, and child-lifecycle
+    /// between runs; batch-shape, memo-contention, and child-lifecycle
     /// events are worker-count (or scheduling) artifacts the event
     /// contract explicitly exempts. Everything else must match.
     fn normalize(events: Vec<nautilus_obs::SearchEvent>) -> Vec<nautilus_obs::SearchEvent> {
@@ -1027,7 +1004,7 @@ mod tests {
                 !matches!(
                     e,
                     E::EvalBatch { .. }
-                        | E::CacheShardContended { .. }
+                        | E::CacheShardContended
                         | E::ChildSpawned { .. }
                         | E::ChildKilled { .. }
                         | E::ChildRespawned { .. }
@@ -1125,14 +1102,8 @@ mod tests {
         assert_eq!(run.count, 1);
         assert!(run.total_nanos > 0);
         // On a serial run every span nests under `Run` on the merge track,
-        // so per-phase self times telescope to the run's wall clock (the
-        // shard-lock aggregate is extra: its time is inside MissEval spans).
-        let self_sum: u64 = report
-            .phases
-            .iter()
-            .filter(|(p, _)| **p != Phase::ShardLockWait)
-            .map(|(_, s)| s.self_nanos)
-            .sum();
+        // so per-phase self times telescope to the run's wall clock.
+        let self_sum: u64 = report.phases.values().map(|s| s.self_nanos).sum();
         assert_eq!(self_sum, run.total_nanos);
         // Tracing must not perturb the reported search either.
         let (plain, plain_report) = engine_untraced_baseline(&model, &q);

@@ -72,6 +72,7 @@
 //! # Ok(()) }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -19,6 +19,7 @@
 //! assert_eq!(model.evaluate(&genome).is_some(), config.is_feasible());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -86,8 +86,8 @@ mod tests {
     use super::*;
     use crate::sink::InMemorySink;
 
-    fn probe(shard: u32) -> SearchEvent {
-        SearchEvent::CacheShardContended { shard }
+    fn probe(generation: u32) -> SearchEvent {
+        SearchEvent::GenerationStart { generation }
     }
 
     #[test]

@@ -195,13 +195,11 @@ pub enum SearchEvent {
         /// Worker threads the batch was spread over.
         workers: usize,
     },
-    /// A sharded synthesis cache lost an insert race: two threads
-    /// evaluated the same point concurrently and the second write-lock
-    /// holder found the entry already present.
-    CacheShardContended {
-        /// Index of the shard that observed the contended insert.
-        shard: u32,
-    },
+    /// A synthesis-job memo lost an insert race: two threads evaluated the
+    /// same point concurrently and the second to insert found the entry
+    /// already present. The name and its JSONL kind stay as they were so
+    /// report and metrics consumers see no change.
+    CacheShardContended,
     /// One evaluation attempt failed.
     ///
     /// Emitted once per failed attempt, before the engine decides between
@@ -512,7 +510,7 @@ impl SearchEvent {
             SearchEvent::GenerationEnd { .. } => "generation_end",
             SearchEvent::EvalCompleted { .. } => "eval_completed",
             SearchEvent::EvalBatch { .. } => "eval_batch",
-            SearchEvent::CacheShardContended { .. } => "cache_shard_contended",
+            SearchEvent::CacheShardContended => "cache_shard_contended",
             SearchEvent::EvalAttemptFailed { .. } => "eval_attempt_failed",
             SearchEvent::EvalRetried { .. } => "eval_retried",
             SearchEvent::EvalRecovered { .. } => "eval_recovered",
@@ -594,9 +592,7 @@ impl SearchEvent {
                     .u64("size", *size as u64)
                     .u64("workers", *workers as u64);
             }
-            SearchEvent::CacheShardContended { shard } => {
-                o.u64("shard", u64::from(*shard));
-            }
+            SearchEvent::CacheShardContended => {}
             SearchEvent::EvalAttemptFailed { kind, attempt, retryable } => {
                 o.str("kind", kind.as_str())
                     .u64("attempt", u64::from(*attempt))
@@ -751,7 +747,7 @@ mod tests {
             },
             SearchEvent::EvalCompleted { cached: false, feasible: true, tool_secs: 300 },
             SearchEvent::EvalBatch { generation: 2, size: 7, workers: 4 },
-            SearchEvent::CacheShardContended { shard: 3 },
+            SearchEvent::CacheShardContended,
             SearchEvent::EvalAttemptFailed {
                 kind: FailureKind::Transient,
                 attempt: 1,

@@ -46,6 +46,7 @@
 //! # let _ = summary;
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -518,7 +518,7 @@ impl SearchObserver for MetricsSink {
                 self.eval_batches.inc();
                 self.batch_sizes.record(*size as f64);
             }
-            SearchEvent::CacheShardContended { .. } => self.shard_contentions.inc(),
+            SearchEvent::CacheShardContended => self.shard_contentions.inc(),
             SearchEvent::EvalAttemptFailed { kind, .. } => {
                 self.eval_failures.inc();
                 let idx = FailureKind::ALL.iter().position(|k| k == kind).unwrap_or(0);
@@ -686,8 +686,8 @@ mod tests {
         });
         sink.on_event(&SearchEvent::SelectionInvoked { generation: 0, kind: "t".into() });
         sink.on_event(&SearchEvent::EvalBatch { generation: 0, size: 7, workers: 4 });
-        sink.on_event(&SearchEvent::CacheShardContended { shard: 2 });
-        sink.on_event(&SearchEvent::CacheShardContended { shard: 2 });
+        sink.on_event(&SearchEvent::CacheShardContended);
+        sink.on_event(&SearchEvent::CacheShardContended);
         sink.on_event(&SearchEvent::EvalAttemptFailed {
             kind: FailureKind::Transient,
             attempt: 1,

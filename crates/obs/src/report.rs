@@ -584,7 +584,7 @@ pub struct RunReport {
     pub batched_evals: u64,
     /// Largest single evaluation batch.
     pub max_batch: u64,
-    /// Sharded synthesis-cache insert races observed.
+    /// Synthesis-job memo insert races lost.
     pub shard_contentions: u64,
     /// Whole-run evaluation-failure / retry / quarantine tallies.
     pub faults: FaultTally,
@@ -1062,7 +1062,7 @@ impl SearchObserver for ReportBuilder {
                 state.report.batched_evals += *size as u64;
                 state.report.max_batch = state.report.max_batch.max(*size as u64);
             }
-            SearchEvent::CacheShardContended { .. } => state.report.shard_contentions += 1,
+            SearchEvent::CacheShardContended => state.report.shard_contentions += 1,
             SearchEvent::EvalAttemptFailed { kind, .. } => {
                 let idx = FailureKind::ALL.iter().position(|k| k == kind).unwrap_or(0);
                 state.report.faults.failed_attempts[idx] += 1;
@@ -1230,7 +1230,7 @@ mod tests {
                 },
                 SearchEvent::EvalBatch { generation: 1, size: 3, workers: 2 },
                 SearchEvent::EvalBatch { generation: 1, size: 8, workers: 2 },
-                SearchEvent::CacheShardContended { shard: 5 },
+                SearchEvent::CacheShardContended,
                 // A transient fault recovered on retry...
                 SearchEvent::EvalAttemptFailed {
                     kind: FailureKind::Transient,

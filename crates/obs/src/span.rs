@@ -60,13 +60,11 @@ pub enum Phase {
     BatchMerge,
     /// Writing one durable checkpoint.
     CheckpointIo,
-    /// Waiting on sharded-cache locks (aggregate-only; no span records).
-    ShardLockWait,
 }
 
 impl Phase {
     /// Every phase, in canonical reporting order.
-    pub const ALL: [Phase; 13] = [
+    pub const ALL: [Phase; 12] = [
         Phase::Run,
         Phase::InitPopulation,
         Phase::Scoring,
@@ -79,7 +77,6 @@ impl Phase {
         Phase::BatchWait,
         Phase::BatchMerge,
         Phase::CheckpointIo,
-        Phase::ShardLockWait,
     ];
 
     /// Stable snake_case label used in trace JSON, report JSON, and the
@@ -99,7 +96,6 @@ impl Phase {
             Phase::BatchWait => "batch_wait",
             Phase::BatchMerge => "batch_merge",
             Phase::CheckpointIo => "checkpoint_io",
-            Phase::ShardLockWait => "shard_lock_wait",
         }
     }
 
@@ -131,7 +127,7 @@ pub struct SpanRecord {
 /// self times of a track's phases telescope to that track's root span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStat {
-    /// Number of spans (or aggregate samples) observed.
+    /// Number of spans observed.
     pub count: u64,
     /// Sum of span durations in nanoseconds.
     pub total_nanos: u64,
@@ -141,7 +137,7 @@ pub struct PhaseStat {
     pub max_nanos: u64,
 }
 
-/// Central collector for span records and phase aggregates.
+/// Central collector for span records.
 ///
 /// A `Tracer` is shared by reference across the engine and its workers;
 /// each participant records through its own [`SpanRecorder`] and the
@@ -156,8 +152,6 @@ pub struct Tracer {
 struct TraceState {
     tracks: Vec<String>,
     spans: Vec<SpanRecord>,
-    /// Aggregate-only phases: label -> (count, total_nanos, max_nanos).
-    aggregates: BTreeMap<Phase, (u64, u64, u64)>,
 }
 
 impl Default for Tracer {
@@ -167,7 +161,7 @@ impl Default for Tracer {
 }
 
 /// Wire-format version of [`Tracer::wire_bytes`].
-const TRACE_WIRE_VERSION: u8 = 1;
+const TRACE_WIRE_VERSION: u8 = 2;
 
 /// Initial capacity of a recorder's local buffer; sized so a generation's
 /// worth of spans never reallocates on the hot path.
@@ -202,20 +196,6 @@ impl Tracer {
         SpanRecorder { tracer: self, track, buf: Vec::with_capacity(RECORDER_BUF_CAPACITY) }
     }
 
-    /// Folds an externally measured aggregate into `phase` — used for
-    /// costs counted off-thread without spans, like sharded-cache lock
-    /// waits.
-    pub fn add_aggregate(&self, phase: Phase, count: u64, total_nanos: u64, max_nanos: u64) {
-        if count == 0 && total_nanos == 0 {
-            return;
-        }
-        let mut state = self.state.lock().expect("tracer lock poisoned");
-        let slot = state.aggregates.entry(phase).or_insert((0, 0, 0));
-        slot.0 += count;
-        slot.1 += total_nanos;
-        slot.2 = slot.2.max(max_nanos);
-    }
-
     /// Registered track names, in track-index order.
     #[must_use]
     pub fn tracks(&self) -> Vec<String> {
@@ -233,8 +213,7 @@ impl Tracer {
     /// Self time is computed per track by interval nesting: spans are
     /// sorted by start (ties broken longest-first) and each span's
     /// duration is charged against the innermost enclosing span on the
-    /// same track. Aggregate-only phases contribute their totals as pure
-    /// self time.
+    /// same track.
     #[must_use]
     pub fn phase_stats(&self) -> BTreeMap<Phase, PhaseStat> {
         let state = self.state.lock().expect("tracer lock poisoned");
@@ -282,13 +261,6 @@ impl Tracer {
                 settle(&mut stats, o);
             }
         }
-        for (&phase, &(count, total, max)) in &state.aggregates {
-            let entry = stats.entry(phase).or_default();
-            entry.count += count;
-            entry.total_nanos += total;
-            entry.self_nanos += total;
-            entry.max_nanos = entry.max_nanos.max(max);
-        }
         stats
     }
 
@@ -297,9 +269,7 @@ impl Tracer {
     ///
     /// One metadata event names each track; spans become complete (`"X"`)
     /// events with microsecond timestamps, sorted by track then start so
-    /// the output is a pure function of the recorded span set. Aggregate
-    /// phases ride in a top-level `phaseAggregates` object that trace
-    /// viewers ignore.
+    /// the output is a pure function of the recorded span set.
     #[must_use]
     pub fn to_chrome_json(&self) -> String {
         let state = self.state.lock().expect("tracer lock poisoned");
@@ -328,21 +298,13 @@ impl Tracer {
                 .f64("dur", s.dur_nanos as f64 / 1000.0);
             events.push(x.finish());
         }
-        let mut aggs = JsonObj::new();
-        for (phase, (count, total, max)) in &state.aggregates {
-            let mut a = JsonObj::new();
-            a.u64("count", *count).u64("total_nanos", *total).u64("max_nanos", *max);
-            aggs.raw(phase.label(), &a.finish());
-        }
         let mut root = JsonObj::new();
-        root.arr_raw("traceEvents", &events)
-            .str("displayTimeUnit", "ms")
-            .raw("phaseAggregates", &aggs.finish());
+        root.arr_raw("traceEvents", &events).str("displayTimeUnit", "ms");
         root.finish()
     }
 
-    /// Serializes tracks, spans, and aggregates through the versioned
-    /// wire codec (flush order preserved).
+    /// Serializes tracks and spans through the versioned wire codec
+    /// (flush order preserved).
     #[must_use]
     pub fn wire_bytes(&self) -> Vec<u8> {
         let state = self.state.lock().expect("tracer lock poisoned");
@@ -358,13 +320,6 @@ impl Tracer {
             w.str(s.phase.label());
             w.u64(s.start_nanos);
             w.u64(s.dur_nanos);
-        }
-        w.usize(state.aggregates.len());
-        for (phase, (count, total, max)) in &state.aggregates {
-            w.str(phase.label());
-            w.u64(*count);
-            w.u64(*total);
-            w.u64(*max);
         }
         w.into_bytes()
     }
@@ -403,22 +358,8 @@ impl Tracer {
             let dur_nanos = r.u64()?;
             spans.push(SpanRecord { track, phase, start_nanos, dur_nanos });
         }
-        let num_aggs = r.len_prefix()?;
-        let mut aggregates = BTreeMap::new();
-        for _ in 0..num_aggs {
-            let label = r.str()?;
-            let phase = Phase::from_label(&label)
-                .ok_or_else(|| WireError(format!("unknown phase label `{label}`")))?;
-            let count = r.u64()?;
-            let total = r.u64()?;
-            let max = r.u64()?;
-            aggregates.insert(phase, (count, total, max));
-        }
         r.finish()?;
-        Ok(Tracer {
-            epoch: Instant::now(),
-            state: Mutex::new(TraceState { tracks, spans, aggregates }),
-        })
+        Ok(Tracer { epoch: Instant::now(), state: Mutex::new(TraceState { tracks, spans }) })
     }
 }
 
@@ -525,19 +466,12 @@ mod tests {
     }
 
     /// A tracer with fully controlled contents, for golden tests.
-    fn synthetic(
-        tracks: &[&str],
-        spans: &[SpanRecord],
-        aggregates: &[(Phase, u64, u64, u64)],
-    ) -> Tracer {
+    fn synthetic(tracks: &[&str], spans: &[SpanRecord]) -> Tracer {
         let tracer = Tracer::new();
         {
             let mut state = tracer.state.lock().unwrap();
             state.tracks = tracks.iter().map(|t| (*t).to_owned()).collect();
             state.spans = spans.to_vec();
-            for &(phase, count, total, max) in aggregates {
-                state.aggregates.insert(phase, (count, total, max));
-            }
         }
         tracer
     }
@@ -605,7 +539,6 @@ mod tests {
                 span(0, Phase::MissEval, 300, 200),
                 span(0, Phase::Selection, 700, 100),
             ],
-            &[],
         );
         let stats = tracer.phase_stats();
         assert_eq!(stats[&Phase::Run].total_nanos, 1000);
@@ -628,33 +561,10 @@ mod tests {
                 // Same window on another track must not nest under Run.
                 span(1, Phase::MissEval, 100, 800),
             ],
-            &[],
         );
         let stats = tracer.phase_stats();
         assert_eq!(stats[&Phase::Run].self_nanos, 1000);
         assert_eq!(stats[&Phase::MissEval].self_nanos, 800);
-    }
-
-    #[test]
-    fn aggregates_fold_into_phase_stats_as_self_time() {
-        let tracer = synthetic(&[], &[], &[(Phase::ShardLockWait, 7, 3500, 900)]);
-        let stats = tracer.phase_stats();
-        let s = stats[&Phase::ShardLockWait];
-        assert_eq!(s.count, 7);
-        assert_eq!(s.total_nanos, 3500);
-        assert_eq!(s.self_nanos, 3500);
-        assert_eq!(s.max_nanos, 900);
-    }
-
-    #[test]
-    fn add_aggregate_accumulates_and_skips_empty_samples() {
-        let tracer = Tracer::new();
-        tracer.add_aggregate(Phase::ShardLockWait, 0, 0, 0);
-        assert!(tracer.phase_stats().is_empty());
-        tracer.add_aggregate(Phase::ShardLockWait, 2, 100, 80);
-        tracer.add_aggregate(Phase::ShardLockWait, 1, 50, 50);
-        let s = tracer.phase_stats()[&Phase::ShardLockWait];
-        assert_eq!((s.count, s.total_nanos, s.max_nanos), (3, 150, 80));
     }
 
     #[test]
@@ -666,7 +576,6 @@ mod tests {
                 span(1, Phase::MissEval, 250, 1500),
                 span(0, Phase::Run, 0, 2000),
             ],
-            &[(Phase::ShardLockWait, 2, 500, 300)],
         );
         let json = tracer.to_chrome_json();
         assert!(is_valid_json(&json), "invalid: {json}");
@@ -676,8 +585,7 @@ mod tests {
             r#"{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"worker-0"}},"#,
             r#"{"ph":"X","pid":1,"tid":0,"name":"run","cat":"nautilus","ts":0.0,"dur":2.0},"#,
             r#"{"ph":"X","pid":1,"tid":1,"name":"miss_eval","cat":"nautilus","ts":0.25,"dur":1.5}"#,
-            r#"],"displayTimeUnit":"ms","#,
-            r#""phaseAggregates":{"shard_lock_wait":{"count":2,"total_nanos":500,"max_nanos":300}}}"#,
+            r#"],"displayTimeUnit":"ms"}"#,
         );
         assert_eq!(json, expected);
     }
@@ -692,7 +600,6 @@ mod tests {
                 span(2, Phase::MissEval, 15, 25),
                 span(0, Phase::CheckpointIo, 8000, 500),
             ],
-            &[(Phase::ShardLockWait, 3, 123, 77)],
         );
         let bytes = tracer.wire_bytes();
         let back = Tracer::from_wire_bytes(&bytes).unwrap();
@@ -704,7 +611,7 @@ mod tests {
 
     #[test]
     fn wire_rejects_corruption() {
-        let tracer = synthetic(&["merge"], &[span(0, Phase::Run, 0, 10)], &[]);
+        let tracer = synthetic(&["merge"], &[span(0, Phase::Run, 0, 10)]);
         let bytes = tracer.wire_bytes();
         // Truncations at every length never panic and never succeed.
         for len in 0..bytes.len() {
@@ -718,9 +625,18 @@ mod tests {
         padded.push(0);
         assert!(Tracer::from_wire_bytes(&padded).is_err());
         // An unknown version is rejected.
-        let mut wrong = bytes;
+        let mut wrong = bytes.clone();
         wrong[0] = 99;
         assert!(Tracer::from_wire_bytes(&wrong).is_err());
+        // So is a version-1 blob: the same records followed by an (empty)
+        // aggregate section.
+        let mut v1 = bytes;
+        v1[0] = 1;
+        let mut aggregates = WireWriter::new();
+        aggregates.usize(0);
+        v1.extend(aggregates.into_bytes());
+        let err = Tracer::from_wire_bytes(&v1).expect_err("version 1 must be rejected");
+        assert!(err.0.contains("unknown trace wire version 1"), "{err:?}");
     }
 
     #[test]
@@ -735,7 +651,6 @@ mod tests {
         w.str("warp_drive");
         w.u64(0);
         w.u64(1);
-        w.usize(0);
         assert!(Tracer::from_wire_bytes(&w.into_bytes()).is_err());
         // Span referencing a track that was never registered.
         let mut w = WireWriter::new();
@@ -747,7 +662,6 @@ mod tests {
         w.str("run");
         w.u64(0);
         w.u64(1);
-        w.usize(0);
         assert!(Tracer::from_wire_bytes(&w.into_bytes()).is_err());
     }
 
@@ -756,7 +670,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nautilus-span-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
-        let tracer = synthetic(&["merge"], &[span(0, Phase::Run, 0, 100)], &[]);
+        let tracer = synthetic(&["merge"], &[span(0, Phase::Run, 0, 100)]);
         let sink = TraceSink::new(&path);
         let bytes = sink.write(&tracer).unwrap();
         let text = std::fs::read_to_string(sink.path()).unwrap();

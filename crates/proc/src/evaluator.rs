@@ -56,7 +56,7 @@ use crate::protocol::{
 };
 
 /// Salt for the genome → slot routing hash. Routing must not correlate
-/// with any fault-plan or cache-shard hash, so it gets its own salt.
+/// with any fault-plan hash, so it gets its own salt.
 const ROUTE_SALT: u64 = 0x726f_7574_6532;
 
 /// Respawn backoff: `BACKOFF_BASE_MS << (failures - 1)`, capped.

@@ -26,6 +26,7 @@
 //! scheduling-dependent effect (which child serves which request) is
 //! either deterministic by construction or invisible to accounting.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

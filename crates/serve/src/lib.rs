@@ -41,6 +41,8 @@
 //! deadlines, bounded accept-error backoff, and dedupe-keyed idempotent
 //! submission.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod daemon;
 pub mod job;

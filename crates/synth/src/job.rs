@@ -8,13 +8,14 @@
 //! Whether the runner also memoizes depends on its caller:
 //!
 //! * [`SynthJobRunner::new`] memoizes (re-visiting a previously synthesized
-//!   design is free, as in the paper's methodology) in a
-//!   [`ShardedCache`](crate::ShardedCache), whose lock striping keeps
-//!   concurrent evaluators from serializing on one global lock. Callers
-//!   with no memo of their own need it — random search, hill climbing,
-//!   simulated annealing, hint estimation — and so do GA runs behind a
-//!   fallible evaluator, where retries, hedges and lost races can present
-//!   a genome twice.
+//!   design is free, as in the paper's methodology) in one locked map. The
+//!   lock is never held while the model runs, so two threads that miss on
+//!   the same point both evaluate it; the second to insert loses the race
+//!   and is charged a cache hit plus one contention. Callers with no memo
+//!   of their own need it — random search, hill climbing, simulated
+//!   annealing, hint estimation — and so do GA runs behind a fallible
+//!   evaluator, where retries, hedges and lost races can present a genome
+//!   twice.
 //! * [`SynthJobRunner::without_memo`] keeps no memo and only counts. The
 //!   plain GA engine path uses it: the engine's own `EvalCache` answers
 //!   every repeat and its batched scoring deduplicates misses, so each
@@ -22,8 +23,10 @@
 //!   cost time. Debug builds check that contract and panic on a genome
 //!   charged twice.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use nautilus_ga::{GeneRows, Genome};
@@ -31,7 +34,6 @@ use nautilus_obs::{SearchEvent, SearchObserver};
 
 use crate::metric::MetricSet;
 use crate::model::CostModel;
-use crate::shard::{InsertOutcome, ShardedCache};
 
 /// Counter snapshot of a [`SynthJobRunner`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -72,6 +74,9 @@ impl JobStats {
     }
 }
 
+/// Memoized results by genome; `None` marks an infeasible point.
+type Memo = Mutex<HashMap<Genome, Option<MetricSet>>>;
+
 /// A thread-safe accounting evaluator over a [`CostModel`], memoizing
 /// unless built with [`SynthJobRunner::without_memo`].
 ///
@@ -102,54 +107,35 @@ impl JobStats {
 /// ```
 pub struct SynthJobRunner<'m> {
     model: &'m dyn CostModel,
-    memo: Memo,
+    /// `None` for a runner built [without a memo](SynthJobRunner::without_memo).
+    memo: Option<Memo>,
+    counters: Counters,
     observer: &'m dyn SearchObserver,
 }
 
-/// How a runner resolves a lookup.
-enum Memo {
-    /// Memoized: repeats are cache hits, concurrent duplicates lost races.
-    Sharded(ShardedCache),
-    /// No memo: every lookup is a new job, charged to the tally.
-    Off(Tally),
-}
-
-/// Job counters of a memo-less runner.
+/// Job counters, shared by runners with and without a memo.
+///
+/// Every lookup charges exactly one of `jobs`, `infeasible` and
+/// `cache_hits`, so for any interleaving of concurrent lookups their sum
+/// is the number of lookups, and with a memo `jobs + infeasible` is the
+/// number of memoized points. `contentions` counts lost insert races, a
+/// subcount of `cache_hits`.
 #[derive(Default)]
-struct Tally {
+struct Counters {
     jobs: AtomicU64,
     infeasible: AtomicU64,
+    cache_hits: AtomicU64,
     tool_secs: AtomicU64,
-    /// Every genome charged so far: the at-most-once contract's check.
+    contentions: AtomicU64,
+    /// Every genome a memo-less runner charged so far: the at-most-once
+    /// contract's check.
     #[cfg(debug_assertions)]
-    charged: std::sync::Mutex<std::collections::HashSet<Genome>>,
+    charged: Mutex<std::collections::HashSet<Genome>>,
 }
 
-impl Tally {
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
-    fn charge(&self, genome: &Genome, feasible: bool, tool_secs: u64) {
-        #[cfg(debug_assertions)]
-        assert!(
-            self.charged.lock().expect("charged-genome set lock").insert(genome.clone()),
-            "memo-less runner charged {genome} twice: its caller must present each genome at \
-             most once"
-        );
-        if feasible {
-            self.jobs.fetch_add(1, Ordering::Relaxed);
-            self.tool_secs.fetch_add(tool_secs, Ordering::Relaxed);
-        } else {
-            self.infeasible.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn stats(&self) -> JobStats {
-        JobStats {
-            jobs: self.jobs.load(Ordering::Relaxed),
-            infeasible: self.infeasible.load(Ordering::Relaxed),
-            cache_hits: 0,
-            simulated_tool_secs: self.tool_secs.load(Ordering::Relaxed),
-        }
-    }
+/// Locks the memo. It is never held while a cost model runs.
+fn lock(memo: &Memo) -> MutexGuard<'_, HashMap<Genome, Option<MetricSet>>> {
+    memo.lock().expect("synthesis memo lock poisoned")
 }
 
 impl<'m> SynthJobRunner<'m> {
@@ -158,7 +144,8 @@ impl<'m> SynthJobRunner<'m> {
     pub fn new(model: &'m dyn CostModel) -> Self {
         SynthJobRunner {
             model,
-            memo: Memo::Sharded(ShardedCache::new()),
+            memo: Some(Memo::default()),
+            counters: Counters::default(),
             observer: nautilus_obs::noop(),
         }
     }
@@ -174,7 +161,12 @@ impl<'m> SynthJobRunner<'m> {
     /// charge of the same genome.
     #[must_use]
     pub fn without_memo(model: &'m dyn CostModel) -> Self {
-        SynthJobRunner { model, memo: Memo::Off(Tally::default()), observer: nautilus_obs::noop() }
+        SynthJobRunner {
+            model,
+            memo: None,
+            counters: Counters::default(),
+            observer: nautilus_obs::noop(),
+        }
     }
 
     /// Routes one [`SearchEvent::EvalCompleted`] per lookup to `observer`
@@ -191,29 +183,70 @@ impl<'m> SynthJobRunner<'m> {
         self.model
     }
 
-    /// The memo, unless this runner was built without one.
-    fn cache(&self) -> Option<&ShardedCache> {
-        match &self.memo {
-            Memo::Sharded(cache) => Some(cache),
-            Memo::Off(_) => None,
-        }
-    }
-
-    /// Simulated tool seconds charged for synthesizing `genome`: none for
-    /// an infeasible point.
-    fn tool_secs(&self, genome: &Genome, result: &Option<MetricSet>) -> u64 {
-        match result {
-            Some(_) => self.model.synth_time(genome).as_secs(),
-            None => 0,
-        }
-    }
-
-    /// Charges a memo-less lookup of `genome` as a new job and reports it
-    /// exactly as a memo miss would be reported.
-    fn charge_new(&self, tally: &Tally, genome: &Genome, result: &Option<MetricSet>) {
-        let tool_secs = self.tool_secs(genome, result);
-        tally.charge(genome, result.is_some(), tool_secs);
+    /// Charges `genome` as a new job (or infeasible probe) and reports it
+    /// as a memo miss.
+    fn charge(&self, genome: &Genome, result: &Option<MetricSet>) {
+        let c = &self.counters;
+        let tool_secs = match result {
+            Some(_) => {
+                let secs = self.model.synth_time(genome).as_secs();
+                c.jobs.fetch_add(1, Ordering::Relaxed);
+                c.tool_secs.fetch_add(secs, Ordering::Relaxed);
+                secs
+            }
+            None => {
+                c.infeasible.fetch_add(1, Ordering::Relaxed);
+                0
+            }
+        };
         self.emit(false, result.is_some(), tool_secs);
+    }
+
+    /// Charges a memo-less lookup as a new job.
+    fn charge_unmemoized(&self, genome: &Genome, result: &Option<MetricSet>) {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.counters.charged.lock().expect("charged-genome set lock").insert(genome.clone()),
+            "memo-less runner charged {genome} twice: its caller must present each genome at \
+             most once"
+        );
+        self.charge(genome, result);
+    }
+
+    /// Charges a lookup served from the memo and reports it.
+    fn hit(&self, cached: &Option<MetricSet>) {
+        self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.emit(true, cached.is_some(), 0);
+    }
+
+    /// Memoizes the freshly evaluated `result` of a miss on `genome` and
+    /// charges it as a new job — unless another thread inserted `genome`
+    /// while this one was evaluating. Then this thread lost the race: its
+    /// result is dropped, the lookup is charged as a cache hit plus one
+    /// contention, and the winner's result is returned.
+    fn insert_or_lose(
+        &self,
+        memo: &Memo,
+        genome: &Genome,
+        result: Option<MetricSet>,
+    ) -> Option<MetricSet> {
+        let winner = match lock(memo).entry(genome.clone()) {
+            Entry::Occupied(winner) => Some(winner.get().clone()),
+            Entry::Vacant(slot) => {
+                slot.insert(result.clone());
+                None
+            }
+        };
+        let Some(winner) = winner else {
+            self.charge(genome, &result);
+            return result;
+        };
+        self.counters.contentions.fetch_add(1, Ordering::Relaxed);
+        if self.observer.enabled() {
+            self.observer.on_event(&SearchEvent::CacheShardContended);
+        }
+        self.hit(&winner);
+        winner
     }
 
     /// Evaluates `genome`, synthesizing on a cache miss (on every call for
@@ -221,35 +254,18 @@ impl<'m> SynthJobRunner<'m> {
     ///
     /// Returns `None` for infeasible design points.
     pub fn evaluate(&self, genome: &Genome) -> Option<MetricSet> {
-        let cache = match &self.memo {
-            Memo::Sharded(cache) => cache,
-            Memo::Off(tally) => {
-                let result = self.model.evaluate(genome);
-                self.charge_new(tally, genome, &result);
-                return result;
-            }
+        let Some(memo) = &self.memo else {
+            let result = self.model.evaluate(genome);
+            self.charge_unmemoized(genome, &result);
+            return result;
         };
-        if let Some(cached) = cache.lookup(genome) {
-            self.emit(true, cached.is_some(), 0);
+        let cached = lock(memo).get(genome).cloned();
+        if let Some(cached) = cached {
+            self.hit(&cached);
             return cached;
         }
         let result = self.model.evaluate(genome);
-        let tool_secs = self.tool_secs(genome, &result);
-        match cache.insert_or_hit(genome, &result, tool_secs) {
-            InsertOutcome::Inserted => {
-                self.emit(false, result.is_some(), tool_secs);
-                result
-            }
-            // Another thread synthesized the same point concurrently; its
-            // result wins and this lookup is accounted as a cache hit.
-            InsertOutcome::Lost { cached, shard } => {
-                if self.observer.enabled() {
-                    self.observer.on_event(&SearchEvent::CacheShardContended { shard });
-                }
-                self.emit(true, cached.is_some(), 0);
-                cached
-            }
-        }
+        self.insert_or_lose(memo, genome, result)
     }
 
     /// Evaluates a contiguous batch of gene rows, appending one result per
@@ -269,33 +285,30 @@ impl<'m> SynthJobRunner<'m> {
     pub fn evaluate_rows(&self, rows: GeneRows<'_>, out: &mut Vec<Option<MetricSet>>) {
         /// How row `i` resolves once the miss kernel has run.
         enum Slot {
-            /// Served by the read path in pass 1 (always a plain hit).
+            /// Found in the memo by the lookup pass.
             Hit(Option<MetricSet>),
             /// First occurrence of miss `idx`: inserts the kernel result.
             MissFirst(usize),
-            /// Later occurrence of a within-batch miss: re-probes the
-            /// cache after the first occurrence has inserted.
+            /// Later occurrence of a within-batch miss: a hit on whatever
+            /// the first occurrence resolved to.
             MissDup(usize),
         }
 
         let gene_len = rows.gene_len();
-        let mut scratch = Genome::from_genes(Vec::with_capacity(gene_len));
-        let cache = match &self.memo {
-            Memo::Sharded(cache) => cache,
-            Memo::Off(tally) => {
-                let first = out.len();
-                self.model.evaluate_rows(rows, out);
-                assert_eq!(
-                    out.len() - first,
-                    rows.len(),
-                    "cost model batch kernel must return one result per row"
-                );
-                for (row, result) in rows.iter().zip(&out[first..]) {
-                    scratch.copy_from_slice(row);
-                    self.charge_new(tally, &scratch, result);
-                }
-                return;
+        let Some(memo) = &self.memo else {
+            let first = out.len();
+            self.model.evaluate_rows(rows, out);
+            assert_eq!(
+                out.len() - first,
+                rows.len(),
+                "cost model batch kernel must return one result per row"
+            );
+            let mut scratch = Genome::from_genes(Vec::with_capacity(gene_len));
+            for (row, result) in rows.iter().zip(&out[first..]) {
+                scratch.copy_from_slice(row);
+                self.charge_unmemoized(&scratch, result);
             }
+            return;
         };
         let mut slots: Vec<Slot> = Vec::with_capacity(rows.len());
         let mut miss_flat: Vec<u32> = Vec::new();
@@ -303,19 +316,21 @@ impl<'m> SynthJobRunner<'m> {
         // First-occurrence index of each within-batch miss row; keys
         // borrow directly from the caller's flat buffer.
         let mut first_of: HashMap<&[u32], usize> = HashMap::new();
-        for row in rows.iter() {
-            if let Some(&idx) = first_of.get(row) {
-                slots.push(Slot::MissDup(idx));
-                continue;
-            }
-            scratch.copy_from_slice(row);
-            if let Some(cached) = cache.lookup(&scratch) {
-                slots.push(Slot::Hit(cached));
-            } else {
-                first_of.insert(row, miss_genomes.len());
-                slots.push(Slot::MissFirst(miss_genomes.len()));
-                miss_flat.extend_from_slice(row);
-                miss_genomes.push(scratch.clone());
+        {
+            // One lock for the whole lookup pass, probing with the rows
+            // themselves (`Genome: Borrow<[u32]>`).
+            let map = lock(memo);
+            for row in rows.iter() {
+                if let Some(&idx) = first_of.get(row) {
+                    slots.push(Slot::MissDup(idx));
+                } else if let Some(cached) = map.get(row) {
+                    slots.push(Slot::Hit(cached.clone()));
+                } else {
+                    first_of.insert(row, miss_genomes.len());
+                    slots.push(Slot::MissFirst(miss_genomes.len()));
+                    miss_flat.extend_from_slice(row);
+                    miss_genomes.push(Genome::from_genes(row.to_vec()));
+                }
             }
         }
 
@@ -333,37 +348,22 @@ impl<'m> SynthJobRunner<'m> {
         // Resolve rows in order so events and insert order match the
         // serial path exactly.
         for slot in slots {
-            match slot {
+            let result = match slot {
                 Slot::Hit(cached) => {
-                    self.emit(true, cached.is_some(), 0);
-                    out.push(cached);
+                    self.hit(&cached);
+                    cached
                 }
                 Slot::MissFirst(idx) => {
-                    let genome = &miss_genomes[idx];
-                    let result = results[idx].clone();
-                    let tool_secs = self.tool_secs(genome, &result);
-                    match cache.insert_or_hit(genome, &result, tool_secs) {
-                        InsertOutcome::Inserted => {
-                            self.emit(false, result.is_some(), tool_secs);
-                            out.push(result);
-                        }
-                        InsertOutcome::Lost { cached, shard } => {
-                            if self.observer.enabled() {
-                                self.observer.on_event(&SearchEvent::CacheShardContended { shard });
-                            }
-                            self.emit(true, cached.is_some(), 0);
-                            out.push(cached);
-                        }
-                    }
+                    let fresh = std::mem::take(&mut results[idx]);
+                    results[idx] = self.insert_or_lose(memo, &miss_genomes[idx], fresh);
+                    results[idx].clone()
                 }
                 Slot::MissDup(idx) => {
-                    let cached = cache
-                        .lookup(&miss_genomes[idx])
-                        .expect("first occurrence inserted earlier in this pass");
-                    self.emit(true, cached.is_some(), 0);
-                    out.push(cached);
+                    self.hit(&results[idx]);
+                    results[idx].clone()
                 }
-            }
+            };
+            out.push(result);
         }
     }
 
@@ -374,12 +374,15 @@ impl<'m> SynthJobRunner<'m> {
         }
     }
 
-    /// Counter snapshot, merged across all cache shards.
+    /// Counter snapshot.
     #[must_use]
     pub fn stats(&self) -> JobStats {
-        match &self.memo {
-            Memo::Sharded(cache) => cache.stats(),
-            Memo::Off(tally) => tally.stats(),
+        let c = &self.counters;
+        JobStats {
+            jobs: c.jobs.load(Ordering::Relaxed),
+            infeasible: c.infeasible.load(Ordering::Relaxed),
+            cache_hits: c.cache_hits.load(Ordering::Relaxed),
+            simulated_tool_secs: c.tool_secs.load(Ordering::Relaxed),
         }
     }
 
@@ -394,53 +397,14 @@ impl<'m> SynthJobRunner<'m> {
     /// a memo.
     #[must_use]
     pub fn cached_points(&self) -> usize {
-        self.cache().map_or(0, ShardedCache::len)
+        self.memo.as_ref().map_or(0, |memo| lock(memo).len())
     }
 
-    /// Insert races lost across all shards: lookups that found the point
-    /// already being synthesized by another thread.
+    /// Insert races lost: lookups that missed, evaluated, and then found
+    /// the point already inserted by another thread. Zero without a memo.
     #[must_use]
-    pub fn shard_contentions(&self) -> u64 {
-        self.cache().map_or(0, ShardedCache::contentions)
-    }
-
-    /// Enables per-shard lock-wait timing on the cache (builder form).
-    #[must_use]
-    pub fn with_lock_timing(self) -> Self {
-        self.enable_lock_timing();
-        self
-    }
-
-    /// Enables per-shard lock-wait timing on the cache. Traced runs call
-    /// this so contention can be attributed to the `shard_lock_wait`
-    /// phase; untimed runs pay one relaxed load per acquisition. A no-op
-    /// without a memo, which takes no locks.
-    pub fn enable_lock_timing(&self) {
-        if let Some(cache) = self.cache() {
-            cache.enable_lock_timing();
-        }
-    }
-
-    /// Per-shard occupancy and hit/miss/contention/lock-wait counters;
-    /// empty without a memo.
-    #[must_use]
-    pub fn shard_metrics(&self) -> Vec<crate::ShardMetrics> {
-        self.cache().map_or_else(Vec::new, ShardedCache::shard_metrics)
-    }
-
-    /// Whole-cache lock-wait aggregate: `(waits, total_nanos, max_nanos)`,
-    /// or `None` without a memo.
-    #[must_use]
-    pub fn lock_wait_totals(&self) -> Option<(u64, u64, u64)> {
-        self.cache().map(ShardedCache::lock_wait_totals)
-    }
-
-    /// Publishes per-shard cache gauges onto `registry` (nothing without a
-    /// memo).
-    pub fn publish_cache_metrics(&self, registry: &nautilus_obs::MetricsRegistry) {
-        if let Some(cache) = self.cache() {
-            cache.publish_metrics(registry);
-        }
+    pub fn contentions(&self) -> u64 {
+        self.counters.contentions.load(Ordering::Relaxed)
     }
 }
 
@@ -448,7 +412,7 @@ impl std::fmt::Debug for SynthJobRunner<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SynthJobRunner")
             .field("model", &self.model.name())
-            .field("memoized", &self.cache().is_some())
+            .field("memoized", &self.memo.is_some())
             .field("stats", &self.stats())
             .finish()
     }
@@ -461,6 +425,7 @@ mod tests {
     use crate::model::testing::BowlModel;
     use nautilus_ga::ParamSpace;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn distinct_jobs_counted_once() {
@@ -624,11 +589,11 @@ mod tests {
         }
     }
 
-    /// N real threads hammering the same 20 points: the sharded cache must
-    /// run exactly one synthesis job per distinct point, and the merged
-    /// stats must reconcile exactly with the lookups issued.
+    /// N real threads hammering the same 20 points: the memo must run
+    /// exactly one synthesis job per distinct point, and the stats must
+    /// reconcile exactly with the lookups issued.
     #[test]
-    fn sharded_cache_hammer_runs_one_job_per_distinct_point() {
+    fn memo_hammer_runs_one_job_per_distinct_point() {
         const THREADS: u32 = 8;
         const ITERS: u32 = 100;
         let model = CountingModel::new();
@@ -654,7 +619,7 @@ mod tests {
         assert_eq!(runner.cached_points(), 20);
         // The model ran once per distinct point, plus once per lost insert
         // race (the loser evaluated before discovering the winner's entry).
-        let contentions = runner.shard_contentions();
+        let contentions = runner.contentions();
         assert_eq!(
             model.evals.load(Ordering::Relaxed),
             20 + contentions,
@@ -745,8 +710,6 @@ mod tests {
             assert_eq!(runner.stats(), memo.stats(), "counters must match the memo path");
             assert_eq!(sink.events(), memo_sink.events(), "events must match the memo path");
             assert_eq!(runner.cached_points(), 0);
-            assert_eq!(runner.lock_wait_totals(), None);
-            assert!(runner.shard_metrics().is_empty());
         }
         assert_eq!(memo.stats().jobs, 4);
         assert_eq!(memo.stats().infeasible, 1);
@@ -773,21 +736,64 @@ mod tests {
         runner.evaluate_rows(GeneRows::new(&[1, 1, 4, 4, 1, 1], 2), &mut out);
     }
 
+    /// A [`CostModel`] whose `evaluate` returns only once two callers are
+    /// inside it, so two threads that miss on the same point always both
+    /// evaluate it.
+    struct RendezvousModel {
+        inner: CountingModel,
+        barrier: Barrier,
+    }
+
+    impl CostModel for RendezvousModel {
+        fn name(&self) -> &str {
+            "rendezvous"
+        }
+
+        fn space(&self) -> &ParamSpace {
+            self.inner.space()
+        }
+
+        fn catalog(&self) -> &MetricCatalog {
+            self.inner.catalog()
+        }
+
+        fn evaluate(&self, g: &Genome) -> Option<MetricSet> {
+            self.barrier.wait();
+            self.inner.evaluate(g)
+        }
+    }
+
     #[test]
     fn contended_inserts_surface_as_events_and_counters() {
-        let model = BowlModel::new(0.0).unwrap();
+        let model = RendezvousModel { inner: CountingModel::new(), barrier: Barrier::new(2) };
         let sink = nautilus_obs::InMemorySink::new();
         let runner = SynthJobRunner::new(&model).with_observer(&sink);
         let g = Genome::from_genes(vec![1, 2]);
-        runner.evaluate(&g);
-        runner.evaluate(&g);
-        // Serial re-lookups are read-path hits, never contentions.
-        assert_eq!(runner.shard_contentions(), 0);
-        let contended = sink
-            .events()
-            .iter()
-            .filter(|e| matches!(e, SearchEvent::CacheShardContended { .. }))
-            .count();
-        assert_eq!(contended, 0);
+        // Both lookups miss: neither thread can insert before the other
+        // has entered the model. The second insert loses the race.
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| runner.evaluate(&g));
+            let b = scope.spawn(|| runner.evaluate(&g));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b, "the loser returns the winner's result");
+        assert!(a.is_some());
+        assert_eq!(model.inner.evals.load(Ordering::Relaxed), 2, "both threads ran the model");
+        let s = runner.stats();
+        assert_eq!((s.jobs, s.infeasible, s.cache_hits), (1, 0, 1));
+        assert_eq!(runner.contentions(), 1);
+        assert_eq!(runner.cached_points(), 1);
+        let contended = |events: &[SearchEvent]| {
+            events.iter().filter(|e| matches!(e, SearchEvent::CacheShardContended)).count()
+        };
+        let events = sink.events();
+        assert_eq!(events.len(), 3, "one miss, one hit, one contention: {events:?}");
+        assert_eq!(contended(&events), 1);
+
+        // A serial re-lookup is a plain hit, never a contention.
+        assert_eq!(runner.evaluate(&g), a);
+        assert_eq!(runner.stats().cache_hits, 2);
+        assert_eq!(runner.contentions(), 1);
+        assert_eq!(contended(&sink.events()), 1);
     }
 }

@@ -13,7 +13,7 @@
 //!   from [`noise`] making the landscape as rugged as real synthesis data.
 //! * [`SynthJobRunner`] — the accounting front-end every search strategy
 //!   evaluates through; counts distinct synthesis jobs and accumulates
-//!   simulated tool time. It memoizes in a [`ShardedCache`] for callers
+//!   simulated tool time. It memoizes in one locked map for callers
 //!   without a memo of their own (random search, local search, hint
 //!   estimation) and behind fallible evaluators; the plain GA engine path
 //!   builds it [without a memo](SynthJobRunner::without_memo), because the
@@ -52,6 +52,7 @@
 //! # Ok(()) }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -64,7 +65,6 @@ mod job;
 mod metric;
 mod model;
 pub mod noise;
-mod shard;
 
 pub use dataset::{Dataset, DatasetModel, CHARACTERIZE_LIMIT};
 pub use error::{Result, SynthError};
@@ -74,7 +74,6 @@ pub use fitness::QueryFitness;
 pub use job::{JobStats, SynthJobRunner};
 pub use metric::{MetricCatalog, MetricDef, MetricId, MetricSet};
 pub use model::CostModel;
-pub use shard::{InsertOutcome, ShardMetrics, ShardedCache, NUM_SHARDS};
 
 #[cfg(test)]
 mod tests {

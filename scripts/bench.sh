@@ -13,11 +13,10 @@
 # Perf floors (enforced by evalbench --floors, non-zero exit on
 # regression): the indexed dataset-query speedup must stay >= 5x, the
 # 1-worker eval configuration >= 0.99x serial, every batched
-# configuration >= 0.90x serial, batched eval strictly faster than
-# serial on hosts with >= 2 threads, and the sharded cache >= 1.0x the
-# monolithic baseline under the 8-thread hammer. The floors auto-skip
-# when this host has fewer threads than the committed run recorded in
-# `host_threads` — a smaller host cannot reproduce them.
+# configuration >= 0.90x serial, and batched eval strictly faster than
+# serial on hosts with >= 2 threads. The floors auto-skip when this host
+# has fewer threads than the committed run recorded in `host_threads` —
+# a smaller host cannot reproduce them.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -60,8 +59,8 @@ if ! grep -q '"service_latency"' "$OUT" \
 fi
 
 # The attribution block is load-bearing: it names the top overhead phase
-# behind the batch and shard headline numbers. Refuse to publish a
-# result file without it.
+# behind the batch headline numbers. Refuse to publish a result file
+# without it.
 if ! grep -q '"phase_attribution"' "$OUT"; then
     echo "FAIL: $OUT is missing the phase_attribution section" >&2
     exit 1

@@ -7,15 +7,31 @@
 # Runs entirely against the local toolchain: the workspace is std only,
 # so no network access is required (--offline everywhere).
 #
-# --tsan (opt-in) instead runs the concurrency hammer tests — the sharded
-# synthesis cache/runner and the supervised-evaluation watchdog workers —
-# under ThreadSanitizer. Requires a nightly toolchain with the rust-src
+# --tsan (opt-in) instead runs the concurrency hammer tests — the
+# synthesis-job memo and runner and the supervised-evaluation watchdog
+# workers — under ThreadSanitizer. Requires a nightly toolchain with the rust-src
 # component (`-Zsanitizer=thread` needs an instrumented std via
 # -Zbuild-std; a prebuilt std would report false races inside its own
 # uninstrumented synchronization).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Runs a `cargo test` command line and fails unless it ran at least one
+# test. A name filter that matches nothing still prints "ok. 0 passed"
+# and exits 0, so one rename would otherwise turn a gate into a no-op.
+require_tests() {
+    local out
+    if ! out="$("$@" 2>&1)"; then
+        printf '%s\n' "$out" >&2
+        return 1
+    fi
+    printf '%s\n' "$out"
+    if ! grep -qE '^test result: ok\. [1-9][0-9]* passed' <<< "$out"; then
+        echo "no test matched the filter: $*" >&2
+        return 1
+    fi
+}
 
 if [ "${1:-}" = "--tsan" ]; then
     if ! cargo +nightly --version >/dev/null 2>&1; then
@@ -30,13 +46,13 @@ if [ "${1:-}" = "--tsan" ]; then
         exit 1
     fi
     host="$(rustc -vV | sed -n 's/^host: //p')"
-    echo "==> ThreadSanitizer: sharded-cache and runner hammers"
-    RUSTFLAGS="${RUSTFLAGS:-} -Zsanitizer=thread" cargo +nightly test --offline \
-        -Zbuild-std --target "$host" -p nautilus-synth --lib -- \
+    echo "==> ThreadSanitizer: synthesis-job memo and runner hammers"
+    require_tests env RUSTFLAGS="${RUSTFLAGS:-} -Zsanitizer=thread" cargo +nightly test \
+        --offline -Zbuild-std --target "$host" -p nautilus-synth --lib -- \
         hammer concurrent_evaluation
     echo "==> ThreadSanitizer: watchdog worker and supervised engine hammers"
-    RUSTFLAGS="${RUSTFLAGS:-} -Zsanitizer=thread" cargo +nightly test --offline \
-        -Zbuild-std --target "$host" -p nautilus-ga --lib -- \
+    require_tests env RUSTFLAGS="${RUSTFLAGS:-} -Zsanitizer=thread" cargo +nightly test \
+        --offline -Zbuild-std --target "$host" -p nautilus-ga --lib -- \
         reclaimable_worker
     echo "TSan checks passed."
     exit 0
@@ -112,9 +128,9 @@ cargo test -q --release --offline -p nautilus-bench --test chaos -- --include-ig
 echo "==> subprocess chaos battery (ignored tests)"
 cargo test -q --release --offline -p nautilus-bench --test subprocess_chaos -- --include-ignored
 
-echo "==> lock-free cache and pool hammers (release)"
-cargo test -q --release --offline -p nautilus-synth --lib -- hammer
-cargo test -q --release --offline -p nautilus-ga --lib -- pool:: batched
+echo "==> synthesis-job memo and pool hammers (release)"
+require_tests cargo test -q --release --offline -p nautilus-synth --lib -- hammer
+require_tests cargo test -q --release --offline -p nautilus-ga --lib -- pool:: batched
 
 echo "==> chaos determinism: seed matrix x {1,2,8} workers"
 cargo build -q --release --offline -p nautilus-bench --bin chaos --bin resume --bin mock-synth

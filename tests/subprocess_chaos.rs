@@ -50,7 +50,7 @@ fn normalize(events: Vec<SearchEvent>) -> Vec<SearchEvent> {
             !matches!(
                 e,
                 SearchEvent::EvalBatch { .. }
-                    | SearchEvent::CacheShardContended { .. }
+                    | SearchEvent::CacheShardContended
                     | SearchEvent::ChildSpawned { .. }
                     | SearchEvent::ChildKilled { .. }
                     | SearchEvent::ChildRespawned { .. }
@@ -84,7 +84,7 @@ fn zero_field(json: &mut String, key: &str) {
 /// `subprocess` tally (the child lifecycle is the *only* block allowed to
 /// differ across the process boundary) and zero the wall-clock span
 /// payloads plus the batching/contention counters (the report's analog of
-/// the filtered `eval_batch` / shard-contention events — all legitimately
+/// the filtered `eval_batch` / memo-contention events — all legitimately
 /// worker-dependent); everything else must match byte for byte.
 fn normalized_report(report: &RunReport) -> String {
     let json = report.to_json();
