@@ -11,6 +11,9 @@
 //!
 //! # On-disk record layout
 //!
+//! A checkpoint is one record of the workspace's one record format,
+//! sealed and opened by [`nautilus_obs::wire::Envelope`]:
+//!
 //! ```text
 //! +----------+---------------+----------------+--------+-------------+
 //! | MAGIC(8) | schema u32 LE | body_len u64 LE| body   | crc32 u32 LE|
@@ -21,7 +24,8 @@
 //! * `schema` is [`SCHEMA_VERSION`]; readers reject versions they do not
 //!   understand rather than guessing at field layouts.
 //! * `body` is the wire-encoded [`SearchState`] (little-endian, length-
-//!   prefixed; see `nautilus_obs::wire`).
+//!   prefixed; see `nautilus_obs::wire`). Its length is not capped: a
+//!   checkpoint is already in memory when it is decoded.
 //! * `crc32` is the CRC-32 (IEEE) of *everything before it* (magic,
 //!   schema, length, body), so header corruption is caught too.
 //!
@@ -52,7 +56,9 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use nautilus_obs::{SearchEvent, SearchObserver, WireError, WireReader, WireWriter};
+use nautilus_obs::{
+    Envelope, FrameError, SearchEvent, SearchObserver, WireError, WireReader, WireWriter,
+};
 
 use crate::cache::CacheSnapshot;
 use crate::durable::{DurableIo, ReservedWrite};
@@ -71,22 +77,8 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// File extension for checkpoint records.
 pub const EXTENSION: &str = "nckpt";
 
-/// CRC-32 (IEEE 802.3, reflected, poly `0xEDB88320`) of `bytes`.
-///
-/// Bitwise implementation — checkpoints are small and written at
-/// generation cadence, so a lookup table buys nothing measurable.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = 0u32.wrapping_sub(crc & 1);
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+const ENVELOPE: Envelope =
+    Envelope { magic: MAGIC, version: SCHEMA_VERSION, max_body_len: u64::MAX };
 
 /// Errors from checkpoint encoding, decoding, or storage.
 #[derive(Debug)]
@@ -98,7 +90,7 @@ pub enum CheckpointError {
     BadMagic,
     /// The record's schema version is not one this build understands.
     UnsupportedVersion(u32),
-    /// The record ends before its declared length.
+    /// The record's length does not match its declared length.
     Truncated,
     /// The CRC-32 over the record does not match its trailer.
     BadCrc {
@@ -133,6 +125,20 @@ impl std::error::Error for CheckpointError {}
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
         CheckpointError::Io(e)
+    }
+}
+
+/// A record of the wrong length (short, oversized length prefix, bytes
+/// after the trailer) is [`CheckpointError::Truncated`].
+impl From<FrameError> for CheckpointError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => CheckpointError::Io(e),
+            FrameError::BadMagic => CheckpointError::BadMagic,
+            FrameError::UnsupportedVersion(v) => CheckpointError::UnsupportedVersion(v),
+            FrameError::BadCrc { computed, stored } => CheckpointError::BadCrc { computed, stored },
+            _ => CheckpointError::Truncated,
+        }
     }
 }
 
@@ -249,16 +255,7 @@ impl SearchState {
             body.str(key);
             body.bytes(blob);
         }
-        let body = body.into_bytes();
-
-        let mut record = Vec::with_capacity(MAGIC.len() + 12 + body.len() + 4);
-        record.extend_from_slice(MAGIC);
-        record.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-        record.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        record.extend_from_slice(&body);
-        let crc = crc32(&record);
-        record.extend_from_slice(&crc.to_le_bytes());
-        record
+        ENVELOPE.seal(&body.into_bytes())
     }
 
     /// Decodes and validates a checkpoint record produced by
@@ -270,41 +267,7 @@ impl SearchState {
     /// mismatch, structural garbage — is an error; corruption is never
     /// silently accepted.
     pub fn decode(record: &[u8]) -> Result<SearchState, CheckpointError> {
-        let header = MAGIC.len() + 4 + 8;
-        if record.len() < header + 4 {
-            return Err(if record.len() >= MAGIC.len() && &record[..MAGIC.len()] != MAGIC {
-                CheckpointError::BadMagic
-            } else {
-                CheckpointError::Truncated
-            });
-        }
-        if &record[..MAGIC.len()] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let schema = u32::from_le_bytes(record[8..12].try_into().expect("4 bytes"));
-        if schema != SCHEMA_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(schema));
-        }
-        let body_len = u64::from_le_bytes(record[12..20].try_into().expect("8 bytes"));
-        let Ok(body_len) = usize::try_from(body_len) else {
-            return Err(CheckpointError::Truncated);
-        };
-        let expected = header
-            .checked_add(body_len)
-            .and_then(|n| n.checked_add(4))
-            .ok_or(CheckpointError::Truncated)?;
-        if record.len() != expected {
-            return Err(CheckpointError::Truncated);
-        }
-        let crc_offset = header + body_len;
-        let stored =
-            u32::from_le_bytes(record[crc_offset..crc_offset + 4].try_into().expect("4 bytes"));
-        let computed = crc32(&record[..crc_offset]);
-        if computed != stored {
-            return Err(CheckpointError::BadCrc { computed, stored });
-        }
-
-        let mut r = WireReader::new(&record[header..crc_offset]);
+        let mut r = WireReader::new(ENVELOPE.open(record)?);
         let seed = r.u64()?;
         let run_label = r.str()?;
         let settings = GaSettings {
@@ -887,10 +850,17 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn golden_checkpoint_bytes_are_stable() {
+        // A committed fixture: the next build must read the checkpoints
+        // this one wrote, so a change here needs a SCHEMA_VERSION bump and
+        // a migration. The CRC covers every earlier byte, so the header
+        // and trailer pin the whole record.
+        let record = sample_state().encode();
+        assert_eq!(record.len(), 528);
+        assert_eq!(&record[..8], b"NAUTCKPT");
+        assert_eq!(&record[8..12], &1u32.to_le_bytes());
+        assert_eq!(&record[12..20], &504u64.to_le_bytes());
+        assert_eq!(&record[524..], &0xC664_3E8Eu32.to_le_bytes());
     }
 
     #[test]
@@ -898,11 +868,19 @@ mod tests {
         let record = sample_state().encode();
         for cut in 0..record.len() {
             assert!(
-                SearchState::decode(&record[..cut]).is_err(),
-                "truncation at {cut}/{} silently accepted",
+                matches!(SearchState::decode(&record[..cut]), Err(CheckpointError::Truncated)),
+                "truncation at {cut}/{} not reported as truncated",
                 record.len()
             );
         }
+        // A record of the wrong length is truncated whichever way it is
+        // wrong: a trailing byte, or a length prefix no record can have.
+        let mut long = record.clone();
+        long.push(0);
+        assert!(matches!(SearchState::decode(&long), Err(CheckpointError::Truncated)));
+        let mut huge = record;
+        huge[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(SearchState::decode(&huge), Err(CheckpointError::Truncated)));
     }
 
     #[test]

@@ -109,20 +109,6 @@ pub struct RetryPolicy {
     pub max_backoff_ms: u64,
     /// Jitter fraction in `[0, 1]`; 0 disables jitter.
     pub jitter: f64,
-    /// Optional wall-clock deadline per attempt, in milliseconds: an
-    /// attempt that returns success after the deadline is converted to
-    /// [`EvalFailure::Timeout`]. Opt-in, because wall-clock measurement is
-    /// inherently nondeterministic — the chaos harness injects timeouts
-    /// deterministically instead.
-    pub attempt_deadline_ms: Option<u64>,
-    /// When the *final* allowed attempt completes over
-    /// [`RetryPolicy::attempt_deadline_ms`] with a usable value (feasible
-    /// and finite, or cleanly infeasible), keep the value instead of
-    /// quarantining the genome. The timeout is still recorded as a failed
-    /// attempt — the evaluation counts as recovered, not clean. Default
-    /// on: the work is already paid for, and discarding it turns a slow
-    /// success into a permanently penalized genome.
-    pub salvage_late_success: bool,
 }
 
 impl Default for RetryPolicy {
@@ -133,8 +119,6 @@ impl Default for RetryPolicy {
             backoff_multiplier: 2.0,
             max_backoff_ms: 1_000,
             jitter: 0.5,
-            attempt_deadline_ms: None,
-            salvage_late_success: true,
         }
     }
 }
@@ -198,9 +182,10 @@ impl RetryPolicy {
 /// The backoff [`evaluate_with_retries`] would apply after failed attempt
 /// `attempt` (1-based) of `genome`, in nanoseconds.
 ///
-/// Exposed so the supervised (virtual-time) retry loop in
-/// [`crate::supervise`] reports backoff telemetry identical to the
-/// wall-clock loop's without duplicating the jitter derivation.
+/// Exposed so the supervised (virtual-time) retry loop,
+/// [`SuperviseSession::resolve`](crate::SuperviseSession::resolve),
+/// reports backoff telemetry identical to the wall-clock loop's without
+/// duplicating the jitter derivation.
 #[must_use]
 pub fn retry_backoff(policy: &RetryPolicy, genome: &Genome, attempt: u32) -> u64 {
     policy.backoff_nanos(genome.stable_hash(JITTER_SALT), attempt)
@@ -287,15 +272,13 @@ impl EvalRecord {
 /// 1. `Ok(Some(v))` with non-finite `v` is treated as
 ///    [`EvalFailure::Corrupted`] — garbage metrics must never enter the
 ///    cache as fitness.
-/// 2. With [`RetryPolicy::attempt_deadline_ms`] set, a success measured
-///    over the deadline converts to [`EvalFailure::Timeout`] — except on
-///    the final allowed attempt when
-///    [`RetryPolicy::salvage_late_success`] is set and the value is
-///    usable: the timeout is recorded but the value is kept (the
-///    evaluation counts as recovered, not quarantined).
-/// 3. A retryable failure with attempts remaining records a backoff
+/// 2. A retryable failure with attempts remaining records a backoff
 ///    (sleeping only if nonzero) and tries again.
-/// 4. A non-retryable failure, or retry exhaustion, quarantines.
+/// 3. A non-retryable failure, or retry exhaustion, quarantines.
+///
+/// Nothing here reads a clock: a per-attempt deadline belongs to the
+/// evaluator (the supervised watchdog, or a tool boundary's I/O timeout),
+/// which reports an overrun as [`EvalFailure::Timeout`].
 #[must_use]
 pub fn evaluate_with_retries(
     eval: &dyn FallibleEvaluator,
@@ -307,28 +290,7 @@ pub fn evaluate_with_retries(
     let mut failures = Vec::new();
     let mut backoffs_nanos = Vec::new();
     for attempt in 1..=max_attempts {
-        let started = policy.attempt_deadline_ms.map(|_| std::time::Instant::now());
         let mut result = eval.try_fitness(genome, attempt);
-        if let (Ok(value), Some(t0), Some(limit_ms)) =
-            (&result, started, policy.attempt_deadline_ms)
-        {
-            let elapsed_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
-            if elapsed_ms > limit_ms {
-                let usable = match value {
-                    None => true,
-                    Some(v) => v.is_finite(),
-                };
-                if policy.salvage_late_success && attempt == max_attempts && usable {
-                    // The deadline passed, but the work is done and the
-                    // score is trustworthy: keep it (recording the
-                    // timeout) rather than quarantine a genome whose
-                    // evaluation we already paid for.
-                    failures.push(EvalFailure::Timeout { elapsed_ms, limit_ms });
-                    return EvalRecord { value: Some(*value), failures, backoffs_nanos };
-                }
-                result = Err(EvalFailure::Timeout { elapsed_ms, limit_ms });
-            }
-        }
         if let Ok(Some(v)) = result {
             if !v.is_finite() {
                 result = Err(EvalFailure::Corrupted(format!("non-finite fitness {v}")));
@@ -577,79 +539,6 @@ mod tests {
         let record = evaluate_with_retries(&eval, &g(5), &RetryPolicy::default());
         assert_eq!(record.value, Some(None));
         assert!(record.failures.is_empty());
-    }
-
-    #[test]
-    fn deadline_converts_slow_success_to_timeout() {
-        let eval = FnFallible::new(|_: &Genome, _| {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            Ok(Some(1.0))
-        });
-        let policy = RetryPolicy {
-            max_attempts: 1,
-            attempt_deadline_ms: Some(0),
-            salvage_late_success: false,
-            ..RetryPolicy::default()
-        };
-        let record = evaluate_with_retries(&eval, &g(6), &policy);
-        assert!(record.is_quarantined());
-        assert_eq!(record.failures[0].kind(), FailureKind::Timeout);
-    }
-
-    #[test]
-    fn late_final_success_is_salvaged_by_default() {
-        // Regression: a finite score computed by the final allowed attempt
-        // used to be discarded (and the genome quarantined) purely because
-        // the attempt finished over the deadline.
-        let eval = FnFallible::new(|_: &Genome, _| {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            Ok(Some(42.0))
-        });
-        let policy =
-            RetryPolicy { max_attempts: 1, attempt_deadline_ms: Some(0), ..RetryPolicy::default() };
-        assert!(policy.salvage_late_success, "salvage must default on");
-        let record = evaluate_with_retries(&eval, &g(6), &policy);
-        assert_eq!(record.value, Some(Some(42.0)), "late value must be salvaged");
-        assert!(!record.is_quarantined());
-        assert_eq!(record.failures.len(), 1, "the timeout is still recorded");
-        assert_eq!(record.failures[0].kind(), FailureKind::Timeout);
-        // The salvaged record folds into FaultStats as a recovery, keeping
-        // the evals_failed == recovered + quarantined identity intact.
-        let mut stats = FaultStats::default();
-        stats.record(&record);
-        assert_eq!(stats.retries_recovered, 1);
-        assert_eq!(stats.quarantined, 0);
-        assert!(stats.reconciles());
-    }
-
-    #[test]
-    fn late_non_finite_success_is_never_salvaged() {
-        let eval = FnFallible::new(|_: &Genome, _| {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            Ok(Some(f64::NAN))
-        });
-        let policy =
-            RetryPolicy { max_attempts: 1, attempt_deadline_ms: Some(0), ..RetryPolicy::default() };
-        let record = evaluate_with_retries(&eval, &g(7), &policy);
-        assert!(record.is_quarantined(), "garbage metrics must not ride in on the salvage path");
-    }
-
-    #[test]
-    fn late_success_on_a_non_final_attempt_still_times_out_and_retries() {
-        let calls = AtomicU32::new(0);
-        let eval = FnFallible::new(|_: &Genome, _| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            Ok(Some(1.0))
-        });
-        let policy =
-            RetryPolicy { max_attempts: 2, attempt_deadline_ms: Some(0), ..RetryPolicy::default() };
-        let record = evaluate_with_retries(&eval, &g(8), &policy);
-        // Attempt 1 times out (not final, so no salvage), attempt 2 is
-        // final and salvages.
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
-        assert_eq!(record.value, Some(Some(1.0)));
-        assert_eq!(record.failures.len(), 2);
     }
 
     #[test]

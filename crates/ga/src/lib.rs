@@ -89,8 +89,8 @@ pub use space::{DesignPoint, FullSweep, ParamSpace, ParamSpaceBuilder};
 pub use stats::{pearson, spearman, Summary};
 pub use supervise::{
     Admission, AttemptOutcome, BreakerPolicy, CircuitBreaker, HedgePolicy, NeverHangs,
-    ReclaimableWorker, SupervisableEvaluator, SupervisePolicy, SuperviseSession, SuperviseStats,
-    Supervisor, WatchdogPolicy, HEDGE_ATTEMPT_BIT,
+    SupervisableEvaluator, SupervisePolicy, SuperviseSession, SuperviseStats, Supervisor,
+    WatchdogPolicy, HEDGE_ATTEMPT_BIT,
 };
 pub use value::ParamValue;
 

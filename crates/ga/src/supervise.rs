@@ -1,10 +1,10 @@
 //! Supervised evaluation: watchdog-enforced deadlines, straggler hedging,
 //! and a circuit breaker with cache-only degraded mode.
 //!
-//! The retry layer in [`crate::fallible`] can only *observe* a slow
-//! attempt after it returns; a genuinely hung backend wedges an eval
-//! worker forever. This module adds preemptive supervision around the
-//! engine's batched evaluation path:
+//! The retry layer in [`crate::fallible`] reads no clock: it sees an
+//! attempt only once it returns, so a hung backend wedges an eval worker
+//! forever. This module adds preemptive supervision around the engine's
+//! batched evaluation path:
 //!
 //! * **Watchdog** — every attempt carries a hard deadline
 //!   ([`WatchdogPolicy::deadline_ms`]). An attempt that hangs, or
@@ -33,13 +33,11 @@
 //! (first-completion-wins is decided purely by virtual completion
 //! times) and breaker transitions (counter-driven, never clock-driven)
 //! are therefore bit-for-bit identical at every `eval_workers` setting.
-//! For genuinely hanging production backends, [`ReclaimableWorker`]
-//! provides the real-thread watchdog with the same
-//! abandoned-result guarantee via generation-stamped completion tokens.
+//! A real tool that hangs is a process boundary's problem: the NAUTPROC
+//! evaluator (`nautilus-proc`) kills and respawns a child that misses its
+//! I/O timeout and reports the attempt as a timeout.
 
 use std::collections::VecDeque;
-use std::sync::mpsc;
-use std::time::Duration;
 
 use nautilus_obs::{HealthState, SearchEvent, SearchObserver, WireError, WireReader, WireWriter};
 
@@ -551,10 +549,10 @@ impl SuperviseSession {
     /// and post-hedge retries inline.
     ///
     /// Mirrors [`crate::fallible::evaluate_with_retries`] except that
-    /// (a) deadlines are enforced preemptively — a late success is
-    /// always discarded, never salvaged, because the watchdog already
-    /// abandoned the attempt — and (b) backoffs are recorded but never
-    /// slept: supervised time is virtual.
+    /// (a) each attempt runs under the watchdog deadline — a late success
+    /// is discarded as a timeout, because the watchdog already abandoned
+    /// the attempt — and (b) backoffs are recorded but never slept:
+    /// supervised time is virtual.
     pub fn resolve(
         &mut self,
         eval: &dyn SupervisableEvaluator,
@@ -817,50 +815,6 @@ fn watchdog_convert(
             Some(true),
         ),
         AttemptOutcome::Finished { result, cost_ms } => (cost_ms, result, None),
-    }
-}
-
-/// A real-thread watchdog for genuinely hanging production backends.
-///
-/// Each call runs the closure on a fresh thread and waits at most the
-/// deadline. On expiry the thread is *detached* (its eventual result is
-/// discarded) and `None` is returned. Results carry a generation-stamped
-/// completion token: a call's channel and epoch are both fresh, so a
-/// late result from an abandoned call can never be mistaken for the
-/// current call's — it is dropped when the stale channel is.
-#[derive(Debug)]
-pub struct ReclaimableWorker {
-    deadline: Duration,
-    epoch: u64,
-}
-
-impl ReclaimableWorker {
-    /// A worker enforcing `deadline` per call.
-    #[must_use]
-    pub fn new(deadline: Duration) -> Self {
-        ReclaimableWorker { deadline, epoch: 0 }
-    }
-
-    /// Runs `f` with the deadline; `None` means the watchdog fired and
-    /// the (possibly still running) thread was abandoned.
-    pub fn run<T, F>(&mut self, f: F) -> Option<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let value = f();
-            // The receiver may be long gone (watchdog fired); a send
-            // error just drops the late result, which is the point.
-            let _ = tx.send((epoch, value));
-        });
-        match rx.recv_timeout(self.deadline) {
-            Ok((e, value)) if e == self.epoch => Some(value),
-            _ => None,
-        }
     }
 }
 
@@ -1225,39 +1179,5 @@ mod tests {
         let late = Scripted(|_, attempt| if attempt == 1 { ok(1.0, 5_000) } else { ok(1.0, 10) });
         let sup = Supervisor::new(&late).with_policy(policy());
         assert_eq!(sup.precompute(&RetryPolicy::default(), &g(1)).len(), 2);
-    }
-
-    #[test]
-    fn reclaimable_worker_returns_in_time_results_and_abandons_hangs() {
-        let mut worker = ReclaimableWorker::new(Duration::from_secs(5));
-        assert_eq!(worker.run(|| 42), Some(42));
-
-        let mut strict = ReclaimableWorker::new(Duration::from_millis(20));
-        let hung = strict.run(|| {
-            std::thread::sleep(Duration::from_secs(60));
-            1
-        });
-        assert_eq!(hung, None, "the watchdog must reclaim the hung call");
-        // The worker stays usable after abandoning a thread, and a stale
-        // result can never leak into a later call.
-        assert_eq!(strict.run(|| 7), Some(7));
-    }
-
-    #[test]
-    fn reclaimable_worker_hammer_stays_epoch_consistent() {
-        // TSan target: interleave hanging and instant calls; every
-        // returned value must belong to the issuing call.
-        let mut worker = ReclaimableWorker::new(Duration::from_millis(10));
-        for i in 0..20u64 {
-            if i % 3 == 0 {
-                let out = worker.run(move || {
-                    std::thread::sleep(Duration::from_millis(200));
-                    i
-                });
-                assert_eq!(out, None, "slow call {i} must be abandoned");
-            } else {
-                assert_eq!(worker.run(move || i), Some(i), "fast call {i} must round-trip");
-            }
-        }
     }
 }

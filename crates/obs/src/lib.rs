@@ -13,7 +13,7 @@
 //!    stream into a registry (evals, cache hits, infeasible attempts,
 //!    mutations per parameter, hint applications by kind, ...).
 //! 2. **Structured event bus** — the [`SearchObserver`] trait receives
-//!    typed [`SearchEvent`]s; [`span`] gives span-style scoped timers.
+//!    typed [`SearchEvent`]s; [`span()`] gives span-style scoped timers.
 //!    The default [`noop`] observer reports itself disabled so emitters
 //!    pay one predictable branch and never allocate. [`JsonlSink`]
 //!    streams events as JSON Lines; [`InMemorySink`] buffers them for
@@ -72,4 +72,4 @@ pub use report::{
 };
 pub use sink::{InMemorySink, JsonlSink};
 pub use span::{Phase, PhaseStat, SpanRecord, SpanRecorder, SpanStart, TraceSink, Tracer};
-pub use wire::{WireError, WireReader, WireWriter};
+pub use wire::{crc32, Envelope, FrameError, WireError, WireReader, WireWriter};

@@ -757,7 +757,7 @@ fn kill_all(conns: impl IntoIterator<Item = Conn>) {
 impl Drop for SubprocessEvaluator<'_> {
     /// Writes `Shutdown` to every child and closes its stdin, then reaps
     /// each child as soon as its stdout reaches EOF. Children still open
-    /// when the shared [`SHUTDOWN_GRACE`] runs out are killed, so a
+    /// when the shared `SHUTDOWN_GRACE` (200 ms) runs out are killed, so a
     /// wedged pool costs one grace period in total. Shutdown kills are
     /// uncounted.
     fn drop(&mut self) {

@@ -1,8 +1,8 @@
 //! The `NAUTPROC` wire protocol: length-prefixed, CRC-trailed frames over
 //! a child process's stdin/stdout.
 //!
-//! Every frame is one self-delimiting record mirroring the `NAUTCKPT`
-//! checkpoint discipline:
+//! Every frame is one record of the workspace's one record format,
+//! sealed, opened and read by [`nautilus_obs::wire::Envelope`]:
 //!
 //! ```text
 //! | MAGIC(8) | version u32 LE | body_len u64 LE | body | crc32 u32 LE |
@@ -10,10 +10,10 @@
 //!
 //! * `MAGIC` is the fixed tag `b"NAUTPROC"`.
 //! * `version` is [`VERSION`]; readers reject anything else outright.
-//! * `body` opens with a one-byte frame kind followed by the kind's
-//!   [`WireWriter`]-encoded fields.
-//! * The CRC-32 trailer covers everything before it (magic, version,
-//!   length, body) using the checkpoint crate's [`crc32`].
+//! * `body` is at most [`MAX_BODY_LEN`] bytes and opens with a one-byte
+//!   frame kind followed by the kind's [`WireWriter`]-encoded fields.
+//! * The [`crc32`](nautilus_obs::crc32) trailer covers everything before
+//!   it (magic, version, length, body).
 //!
 //! The conversation is strictly parent-driven after the handshake:
 //!
@@ -32,8 +32,10 @@
 
 use std::io::{Read, Write};
 
-use nautilus_ga::checkpoint::crc32;
-use nautilus_obs::{WireReader, WireWriter};
+use nautilus_obs::{Envelope, WireReader, WireWriter};
+
+/// Framing, checksum and body errors: the envelope's `FrameError`.
+pub use nautilus_obs::FrameError as ProtoError;
 
 /// Fixed 8-byte tag opening every protocol frame.
 pub const MAGIC: &[u8; 8] = b"NAUTPROC";
@@ -46,6 +48,8 @@ pub const VERSION: u32 = 1;
 /// corrupted length prefix cannot drive an OOM.
 pub const MAX_BODY_LEN: u64 = 16 * 1024 * 1024;
 
+const ENVELOPE: Envelope = Envelope { magic: MAGIC, version: VERSION, max_body_len: MAX_BODY_LEN };
+
 const KIND_HELLO: u8 = 0;
 const KIND_EVAL: u8 = 1;
 const KIND_RESULT: u8 = 2;
@@ -54,73 +58,6 @@ const KIND_SHUTDOWN: u8 = 3;
 const OUTCOME_METRICS: u8 = 0;
 const OUTCOME_INFEASIBLE: u8 = 1;
 const OUTCOME_FAULT: u8 = 2;
-
-/// Errors from framing, checksum validation, or structural decoding.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum ProtoError {
-    /// The stream ended cleanly on a frame boundary (zero bytes of the
-    /// next frame were read). Not a fault for a child waiting on stdin.
-    CleanEof,
-    /// The stream ended mid-frame.
-    Truncated,
-    /// The frame does not start with [`MAGIC`].
-    BadMagic,
-    /// The frame's protocol version is not one this build understands.
-    UnsupportedVersion(u32),
-    /// The declared body length exceeds [`MAX_BODY_LEN`].
-    Oversized(u64),
-    /// The CRC-32 over the frame does not match its trailer.
-    BadCrc {
-        /// Checksum recomputed from the received bytes.
-        computed: u32,
-        /// Checksum stored in the frame trailer.
-        stored: u32,
-    },
-    /// The body failed structural decoding despite a valid checksum.
-    Malformed(String),
-    /// An I/O failure other than end-of-stream.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtoError::CleanEof => write!(f, "clean end of stream"),
-            ProtoError::Truncated => write!(f, "truncated frame"),
-            ProtoError::BadMagic => write!(f, "not a NAUTPROC frame (bad magic)"),
-            ProtoError::UnsupportedVersion(v) => {
-                write!(f, "unsupported protocol version {v}")
-            }
-            ProtoError::Oversized(n) => write!(f, "frame body of {n} bytes exceeds cap"),
-            ProtoError::BadCrc { computed, stored } => {
-                write!(f, "checksum mismatch: computed {computed:#010x}, stored {stored:#010x}")
-            }
-            ProtoError::Malformed(reason) => write!(f, "malformed frame body: {reason}"),
-            ProtoError::Io(e) => write!(f, "i/o failure: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {}
-
-impl ProtoError {
-    /// Short, deterministic label for telemetry payloads — no byte counts
-    /// or OS error text, so event streams stay byte-identical run to run.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            ProtoError::CleanEof => "clean_eof",
-            ProtoError::Truncated => "truncated",
-            ProtoError::BadMagic => "bad_magic",
-            ProtoError::UnsupportedVersion(_) => "unsupported_version",
-            ProtoError::Oversized(_) => "oversized",
-            ProtoError::BadCrc { .. } => "bad_crc",
-            ProtoError::Malformed(_) => "malformed",
-            ProtoError::Io(_) => "io",
-        }
-    }
-}
 
 /// How an evaluation attempt ended, as reported by the child.
 ///
@@ -233,59 +170,18 @@ impl Frame {
             }
             Frame::Shutdown => body.u8(KIND_SHUTDOWN),
         }
-        let body = body.into_bytes();
-        let mut record = Vec::with_capacity(MAGIC.len() + 12 + body.len() + 4);
-        record.extend_from_slice(MAGIC);
-        record.extend_from_slice(&VERSION.to_le_bytes());
-        record.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        record.extend_from_slice(&body);
-        let crc = crc32(&record);
-        record.extend_from_slice(&crc.to_le_bytes());
-        record
+        ENVELOPE.seal(&body.into_bytes())
     }
 
     /// Decodes one complete wire record.
     pub fn decode(record: &[u8]) -> Result<Frame, ProtoError> {
-        let header = MAGIC.len() + 4 + 8;
-        if record.len() < header + 4 {
-            return Err(if record.len() >= MAGIC.len() && &record[..MAGIC.len()] != MAGIC {
-                ProtoError::BadMagic
-            } else {
-                ProtoError::Truncated
-            });
-        }
-        if &record[..MAGIC.len()] != MAGIC {
-            return Err(ProtoError::BadMagic);
-        }
-        let version = u32::from_le_bytes(record[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(ProtoError::UnsupportedVersion(version));
-        }
-        let body_len = u64::from_le_bytes(record[12..20].try_into().expect("8 bytes"));
-        if body_len > MAX_BODY_LEN {
-            return Err(ProtoError::Oversized(body_len));
-        }
-        let body_len = usize::try_from(body_len).map_err(|_| ProtoError::Oversized(u64::MAX))?;
-        let crc_offset = header.checked_add(body_len).ok_or(ProtoError::Oversized(u64::MAX))?;
-        match record.len() {
-            n if n < crc_offset + 4 => return Err(ProtoError::Truncated),
-            n if n > crc_offset + 4 => {
-                return Err(ProtoError::Malformed("trailing bytes after crc".into()))
-            }
-            _ => {}
-        }
-        let computed = crc32(&record[..crc_offset]);
-        let stored = u32::from_le_bytes(record[crc_offset..crc_offset + 4].try_into().expect("4"));
-        if computed != stored {
-            return Err(ProtoError::BadCrc { computed, stored });
-        }
-        decode_body(&record[header..crc_offset])
+        decode_body(ENVELOPE.open(record)?)
     }
 
     /// Writes this frame to `w` and flushes.
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), ProtoError> {
-        w.write_all(&self.encode()).map_err(ProtoError::Io)?;
-        w.flush().map_err(ProtoError::Io)
+        w.write_all(&self.encode())?;
+        Ok(w.flush()?)
     }
 
     /// Reads exactly one frame from `r`.
@@ -294,48 +190,8 @@ impl Frame {
     /// later is [`ProtoError::Truncated`]. The header is validated before
     /// the body is allocated, so garbage lengths fail fast.
     pub fn read_from(r: &mut impl Read) -> Result<Frame, ProtoError> {
-        let mut header = [0u8; 20];
-        read_exact_or(r, &mut header, ProtoError::CleanEof)?;
-        if &header[..MAGIC.len()] != MAGIC {
-            return Err(ProtoError::BadMagic);
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(ProtoError::UnsupportedVersion(version));
-        }
-        let body_len = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-        if body_len > MAX_BODY_LEN {
-            return Err(ProtoError::Oversized(body_len));
-        }
-        let body_len = usize::try_from(body_len).map_err(|_| ProtoError::Oversized(u64::MAX))?;
-        let mut rest = vec![0u8; body_len + 4];
-        read_exact_or(r, &mut rest, ProtoError::Truncated)?;
-        let mut record = Vec::with_capacity(20 + rest.len());
-        record.extend_from_slice(&header);
-        record.extend_from_slice(&rest);
-        Frame::decode(&record)
+        decode_body(&ENVELOPE.read(r)?)
     }
-}
-
-/// `read_exact` that maps a zero-progress EOF to `on_empty_eof` and a
-/// partial-read EOF to [`ProtoError::Truncated`].
-fn read_exact_or(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    on_empty_eof: ProtoError,
-) -> Result<(), ProtoError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if filled == 0 { on_empty_eof } else { ProtoError::Truncated });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
-    }
-    Ok(())
 }
 
 fn encode_outcome(w: &mut WireWriter, outcome: &WireOutcome) {
@@ -368,34 +224,24 @@ fn encode_outcome(w: &mut WireWriter, outcome: &WireOutcome) {
 
 fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
     let mut r = WireReader::new(body);
-    let frame = (|| -> Result<Frame, nautilus_obs::WireError> {
-        let kind = r.u8()?;
-        let frame = match kind {
-            KIND_HELLO => {
-                Frame::Hello { model: r.str()?, gene_len: r.u32()?, metric_len: r.u32()? }
+    let frame = match r.u8()? {
+        KIND_HELLO => Frame::Hello { model: r.str()?, gene_len: r.u32()?, metric_len: r.u32()? },
+        KIND_EVAL => {
+            let id = r.u64()?;
+            let attempt = r.u32()?;
+            let n = r.len_prefix()?;
+            let mut genes = Vec::with_capacity(n.min(1 << 20));
+            for _ in 0..n {
+                genes.push(r.u32()?);
             }
-            KIND_EVAL => {
-                let id = r.u64()?;
-                let attempt = r.u32()?;
-                let n = r.len_prefix()?;
-                let mut genes = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    genes.push(r.u32()?);
-                }
-                Frame::Eval { id, attempt, genes }
-            }
-            KIND_RESULT => {
-                let id = r.u64()?;
-                let outcome = decode_outcome(&mut r)?;
-                Frame::Result { id, outcome }
-            }
-            KIND_SHUTDOWN => Frame::Shutdown,
-            other => return Err(nautilus_obs::WireError(format!("unknown frame kind {other}"))),
-        };
-        r.finish()?;
-        Ok(frame)
-    })();
-    frame.map_err(|e| ProtoError::Malformed(e.0))
+            Frame::Eval { id, attempt, genes }
+        }
+        KIND_RESULT => Frame::Result { id: r.u64()?, outcome: decode_outcome(&mut r)? },
+        KIND_SHUTDOWN => Frame::Shutdown,
+        other => return Err(ProtoError::Malformed(format!("unknown frame kind {other}"))),
+    };
+    r.finish()?;
+    Ok(frame)
 }
 
 fn decode_outcome(r: &mut WireReader<'_>) -> Result<WireOutcome, nautilus_obs::WireError> {
@@ -428,6 +274,7 @@ fn decode_outcome(r: &mut WireReader<'_>) -> Result<WireOutcome, nautilus_obs::W
 mod tests {
     use super::*;
     use nautilus_ga::rng::{check_cases, SearchRng};
+    use nautilus_obs::crc32;
 
     fn samples() -> Vec<Frame> {
         vec![
@@ -540,6 +387,15 @@ mod tests {
     }
 
     #[test]
+    fn oversized_body_length_is_rejected_before_allocation() {
+        let mut bytes = Frame::Shutdown.encode();
+        bytes[12..20].copy_from_slice(&(MAX_BODY_LEN + 1).to_le_bytes());
+        assert!(
+            matches!(Frame::decode(&bytes), Err(ProtoError::Oversized(n)) if n == MAX_BODY_LEN + 1)
+        );
+    }
+
+    #[test]
     fn every_truncation_is_rejected() {
         let bytes = samples()[2].encode();
         for cut in 0..bytes.len() {
@@ -562,15 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_body_length_is_rejected_before_allocation() {
-        let mut bytes = Frame::Shutdown.encode();
-        bytes[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(Frame::decode(&bytes), Err(ProtoError::Oversized(_))));
-        let mut r = &bytes[..];
-        assert!(matches!(Frame::read_from(&mut r), Err(ProtoError::Oversized(_))));
-    }
-
-    #[test]
     fn wrong_version_and_magic_are_rejected() {
         let mut bytes = Frame::Shutdown.encode();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
@@ -578,13 +425,6 @@ mod tests {
         let mut bytes = Frame::Shutdown.encode();
         bytes[..8].copy_from_slice(b"NAUTCKPT");
         assert!(matches!(Frame::decode(&bytes), Err(ProtoError::BadMagic)));
-    }
-
-    #[test]
-    fn trailing_garbage_after_crc_is_rejected() {
-        let mut bytes = Frame::Shutdown.encode();
-        bytes.push(0);
-        assert!(matches!(Frame::decode(&bytes), Err(ProtoError::Malformed(_))));
     }
 
     #[test]

@@ -27,13 +27,14 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs;
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nautilus::{DurableIo, Nautilus};
 use nautilus_ga::fault_label;
@@ -67,8 +68,9 @@ pub struct DaemonConfig {
     /// Concurrent connections served at once; arrivals beyond the cap
     /// are shed with a typed [`Backpressure::TooManyConnections`] reply.
     pub max_connections: usize,
-    /// How long a connection may take to deliver its request frame
-    /// before being closed (a stalled client must not pin a thread).
+    /// How long a connection may take to deliver its whole request frame
+    /// before being closed (a stalled or trickling client must not pin a
+    /// thread). One deadline covers every read of the frame.
     pub conn_read_timeout: Duration,
     /// How long a reply write may block before the connection is closed.
     pub conn_write_timeout: Duration,
@@ -452,13 +454,36 @@ fn note_stall(shared: &Arc<Shared>, phase: &str) {
     shared.emit(&SearchEvent::ConnStalled { phase: phase.to_owned() });
 }
 
+/// Reads a connection's request under one deadline for the whole frame.
+/// A socket read timeout bounds each `read` call alone, so before every
+/// read it is set to the time left: a client that trickles its request a
+/// byte at a time cannot hold the connection past the deadline.
+struct FrameDeadline<'a> {
+    stream: &'a TcpStream,
+    /// `None` when the deadline is too far off to represent.
+    deadline: Option<Instant>,
+}
+
+impl Read for FrameDeadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left =
+            self.deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     // Deadlines on both directions: a client that connects and goes
-    // silent (or stops reading its reply) is closed, not serviced
-    // forever.
-    let _ = stream.set_read_timeout(Some(shared.cfg.conn_read_timeout));
+    // silent, trickles its request, or stops reading its reply is closed,
+    // not serviced forever.
     let _ = stream.set_write_timeout(Some(shared.cfg.conn_write_timeout));
-    let request = match Frame::read_from(&mut stream) {
+    let deadline = Instant::now().checked_add(shared.cfg.conn_read_timeout);
+    let read = Frame::read_from(&mut FrameDeadline { stream: &stream, deadline });
+    let request = match read {
         Ok(Frame::Request(req)) => req,
         Ok(Frame::Reply(_)) => {
             let reply = Reply::Error { message: "expected a request frame".into() };

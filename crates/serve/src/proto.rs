@@ -1,8 +1,8 @@
 //! The `NAUTSRVC` wire protocol: length-prefixed, CRC-trailed frames over
 //! a localhost TCP connection to the search daemon.
 //!
-//! Every frame is one self-delimiting record mirroring the `NAUTPROC` /
-//! `NAUTCKPT` discipline:
+//! Every frame is one record of the workspace's one record format,
+//! sealed, opened and read by [`nautilus_obs::wire::Envelope`]:
 //!
 //! ```text
 //! | MAGIC(8) | version u32 LE | body_len u64 LE | body | crc32 u32 LE |
@@ -12,10 +12,9 @@
 //! * `version` is [`VERSION`]; readers reject anything else outright,
 //!   *before* checking the CRC, so a version bump that moves the trailer
 //!   still yields a precise error.
-//! * `body` opens with a one-byte frame kind followed by the kind's
-//!   [`WireWriter`]-encoded fields.
-//! * The CRC-32 trailer covers everything before it using the checkpoint
-//!   crate's [`crc32`].
+//! * `body` is at most [`MAX_BODY_LEN`] bytes and opens with a one-byte
+//!   frame kind followed by the kind's [`WireWriter`]-encoded fields.
+//! * The [`crc32`](nautilus_obs::crc32) trailer covers all before it.
 //!
 //! The conversation is one request / one reply per connection. The daemon
 //! keeps no per-connection state, which is what lets a client retry any
@@ -30,11 +29,13 @@
 
 use std::io::{Read, Write};
 
-use nautilus_ga::checkpoint::crc32;
-use nautilus_obs::{WireReader, WireWriter};
+use nautilus_obs::{Envelope, WireReader, WireWriter};
 
 use crate::job::{JobPhase, JobSpec};
 use crate::quota::Backpressure;
+
+/// Framing, checksum and body errors: the envelope's `FrameError`.
+pub use nautilus_obs::FrameError as ProtoError;
 
 /// Fixed 8-byte tag opening every protocol frame.
 pub const MAGIC: &[u8; 8] = b"NAUTSRVC";
@@ -52,6 +53,8 @@ pub const VERSION: u32 = 2;
 /// event streams, so the cap matches `NAUTPROC`'s.
 pub const MAX_BODY_LEN: u64 = 16 * 1024 * 1024;
 
+const ENVELOPE: Envelope = Envelope { magic: MAGIC, version: VERSION, max_body_len: MAX_BODY_LEN };
+
 const KIND_PING: u8 = 0;
 const KIND_SUBMIT: u8 = 1;
 const KIND_STATUS: u8 = 2;
@@ -67,79 +70,6 @@ const KIND_RESULT_REPLY: u8 = 0x84;
 const KIND_CANCELLED: u8 = 0x85;
 const KIND_DRAINING: u8 = 0x86;
 const KIND_ERROR: u8 = 0x87;
-
-/// Errors from framing, checksum validation, or structural decoding.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum ProtoError {
-    /// The stream ended cleanly on a frame boundary (zero bytes of the
-    /// next frame were read): the peer closed the connection.
-    CleanEof,
-    /// The stream ended mid-frame.
-    Truncated,
-    /// The frame does not start with [`MAGIC`].
-    BadMagic,
-    /// The frame's protocol version is not one this build understands.
-    UnsupportedVersion(u32),
-    /// The declared body length exceeds [`MAX_BODY_LEN`].
-    Oversized(u64),
-    /// The CRC-32 over the frame does not match its trailer.
-    BadCrc {
-        /// Checksum recomputed from the received bytes.
-        computed: u32,
-        /// Checksum stored in the frame trailer.
-        stored: u32,
-    },
-    /// The body failed structural decoding despite a valid checksum.
-    Malformed(String),
-    /// An I/O failure other than end-of-stream.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtoError::CleanEof => write!(f, "clean end of stream"),
-            ProtoError::Truncated => write!(f, "truncated frame"),
-            ProtoError::BadMagic => write!(f, "not a NAUTSRVC frame (bad magic)"),
-            ProtoError::UnsupportedVersion(v) => {
-                write!(f, "unsupported protocol version {v}")
-            }
-            ProtoError::Oversized(n) => write!(f, "frame body of {n} bytes exceeds cap"),
-            ProtoError::BadCrc { computed, stored } => {
-                write!(f, "checksum mismatch: computed {computed:#010x}, stored {stored:#010x}")
-            }
-            ProtoError::Malformed(reason) => write!(f, "malformed frame body: {reason}"),
-            ProtoError::Io(e) => write!(f, "i/o failure: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {}
-
-impl From<std::io::Error> for ProtoError {
-    fn from(e: std::io::Error) -> ProtoError {
-        ProtoError::Io(e)
-    }
-}
-
-impl ProtoError {
-    /// Short, deterministic label for telemetry payloads — no byte counts
-    /// or OS error text, so event streams stay byte-identical run to run.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            ProtoError::CleanEof => "clean_eof",
-            ProtoError::Truncated => "truncated",
-            ProtoError::BadMagic => "bad_magic",
-            ProtoError::UnsupportedVersion(_) => "unsupported_version",
-            ProtoError::Oversized(_) => "oversized",
-            ProtoError::BadCrc { .. } => "bad_crc",
-            ProtoError::Malformed(_) => "malformed",
-            ProtoError::Io(_) => "io",
-        }
-    }
-}
 
 /// Client -> daemon request frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -249,15 +179,7 @@ impl Frame {
             Frame::Request(req) => encode_request(&mut body, req),
             Frame::Reply(rep) => encode_reply(&mut body, rep),
         }
-        let body = body.into_bytes();
-        let mut record = Vec::with_capacity(MAGIC.len() + 12 + body.len() + 4);
-        record.extend_from_slice(MAGIC);
-        record.extend_from_slice(&VERSION.to_le_bytes());
-        record.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        record.extend_from_slice(&body);
-        let crc = crc32(&record);
-        record.extend_from_slice(&crc.to_le_bytes());
-        record
+        ENVELOPE.seal(&body.into_bytes())
     }
 
     /// Decodes one complete wire record.
@@ -267,40 +189,7 @@ impl Frame {
     /// Every framing violation maps to a distinct [`ProtoError`]; a valid
     /// checksum over a structurally broken body is [`ProtoError::Malformed`].
     pub fn decode(record: &[u8]) -> Result<Frame, ProtoError> {
-        let header = MAGIC.len() + 4 + 8;
-        if record.len() < header + 4 {
-            return Err(if record.len() >= MAGIC.len() && &record[..MAGIC.len()] != MAGIC {
-                ProtoError::BadMagic
-            } else {
-                ProtoError::Truncated
-            });
-        }
-        if &record[..MAGIC.len()] != MAGIC {
-            return Err(ProtoError::BadMagic);
-        }
-        let version = u32::from_le_bytes(record[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(ProtoError::UnsupportedVersion(version));
-        }
-        let body_len = u64::from_le_bytes(record[12..20].try_into().expect("8 bytes"));
-        if body_len > MAX_BODY_LEN {
-            return Err(ProtoError::Oversized(body_len));
-        }
-        let body_len = usize::try_from(body_len).map_err(|_| ProtoError::Oversized(u64::MAX))?;
-        let crc_offset = header.checked_add(body_len).ok_or(ProtoError::Oversized(u64::MAX))?;
-        match record.len() {
-            n if n < crc_offset + 4 => return Err(ProtoError::Truncated),
-            n if n > crc_offset + 4 => {
-                return Err(ProtoError::Malformed("trailing bytes after crc".into()))
-            }
-            _ => {}
-        }
-        let computed = crc32(&record[..crc_offset]);
-        let stored = u32::from_le_bytes(record[crc_offset..crc_offset + 4].try_into().expect("4"));
-        if computed != stored {
-            return Err(ProtoError::BadCrc { computed, stored });
-        }
-        decode_body(&record[header..crc_offset])
+        decode_body(ENVELOPE.open(record)?)
     }
 
     /// Writes this frame to `w` and flushes.
@@ -309,8 +198,8 @@ impl Frame {
     ///
     /// [`ProtoError::Io`] on any write failure.
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), ProtoError> {
-        w.write_all(&self.encode()).map_err(ProtoError::Io)?;
-        w.flush().map_err(ProtoError::Io)
+        w.write_all(&self.encode())?;
+        Ok(w.flush()?)
     }
 
     /// Reads exactly one frame from `r`.
@@ -323,48 +212,8 @@ impl Frame {
     ///
     /// As [`Frame::decode`], plus [`ProtoError::Io`].
     pub fn read_from(r: &mut impl Read) -> Result<Frame, ProtoError> {
-        let mut header = [0u8; 20];
-        read_exact_or(r, &mut header, ProtoError::CleanEof)?;
-        if &header[..MAGIC.len()] != MAGIC {
-            return Err(ProtoError::BadMagic);
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(ProtoError::UnsupportedVersion(version));
-        }
-        let body_len = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-        if body_len > MAX_BODY_LEN {
-            return Err(ProtoError::Oversized(body_len));
-        }
-        let body_len = usize::try_from(body_len).map_err(|_| ProtoError::Oversized(u64::MAX))?;
-        let mut rest = vec![0u8; body_len + 4];
-        read_exact_or(r, &mut rest, ProtoError::Truncated)?;
-        let mut record = Vec::with_capacity(20 + rest.len());
-        record.extend_from_slice(&header);
-        record.extend_from_slice(&rest);
-        Frame::decode(&record)
+        decode_body(&ENVELOPE.read(r)?)
     }
-}
-
-/// `read_exact` that maps a zero-progress EOF to `on_empty_eof` and a
-/// partial-read EOF to [`ProtoError::Truncated`].
-fn read_exact_or(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    on_empty_eof: ProtoError,
-) -> Result<(), ProtoError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if filled == 0 { on_empty_eof } else { ProtoError::Truncated });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
-    }
-    Ok(())
 }
 
 fn encode_request(w: &mut WireWriter, req: &Request) {
@@ -435,46 +284,43 @@ fn encode_reply(w: &mut WireWriter, rep: &Reply) {
 
 fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
     let mut r = WireReader::new(body);
-    let frame = (|| -> Result<Frame, nautilus_obs::WireError> {
-        let kind = r.u8()?;
-        let frame = match kind {
-            KIND_PING => Frame::Request(Request::Ping),
-            KIND_SUBMIT => Frame::Request(Request::Submit { spec: JobSpec::decode_from(&mut r)? }),
-            KIND_STATUS => Frame::Request(Request::Status { job: r.u64()? }),
-            KIND_RESULT => Frame::Request(Request::Result { job: r.u64()? }),
-            KIND_CANCEL => Frame::Request(Request::Cancel { job: r.u64()? }),
-            KIND_DRAIN => Frame::Request(Request::Drain),
-            KIND_PONG => Frame::Reply(Reply::Pong { jobs: r.u64()? }),
-            KIND_SUBMITTED => Frame::Reply(Reply::Submitted { job: r.u64()? }),
-            KIND_REJECTED => {
-                Frame::Reply(Reply::Rejected { reason: Backpressure::decode_from(&mut r)? })
-            }
-            KIND_STATUS_REPLY => Frame::Reply(Reply::Status {
-                job: r.u64()?,
-                phase: JobPhase::from_code(r.u8()?)?,
-                detail: r.str()?,
-            }),
-            KIND_RESULT_REPLY => Frame::Reply(Reply::Result {
-                job: r.u64()?,
-                phase: JobPhase::from_code(r.u8()?)?,
-                outcome_json: r.str()?,
-                report_json: r.str()?,
-                events_jsonl: r.str()?,
-            }),
-            KIND_CANCELLED => Frame::Reply(Reply::Cancelled { job: r.u64()? }),
-            KIND_DRAINING => Frame::Reply(Reply::Draining { pending: r.u64()? }),
-            KIND_ERROR => Frame::Reply(Reply::Error { message: r.str()? }),
-            other => return Err(nautilus_obs::WireError(format!("unknown frame kind {other}"))),
-        };
-        r.finish()?;
-        Ok(frame)
-    })();
-    frame.map_err(|e| ProtoError::Malformed(e.0))
+    let frame = match r.u8()? {
+        KIND_PING => Frame::Request(Request::Ping),
+        KIND_SUBMIT => Frame::Request(Request::Submit { spec: JobSpec::decode_from(&mut r)? }),
+        KIND_STATUS => Frame::Request(Request::Status { job: r.u64()? }),
+        KIND_RESULT => Frame::Request(Request::Result { job: r.u64()? }),
+        KIND_CANCEL => Frame::Request(Request::Cancel { job: r.u64()? }),
+        KIND_DRAIN => Frame::Request(Request::Drain),
+        KIND_PONG => Frame::Reply(Reply::Pong { jobs: r.u64()? }),
+        KIND_SUBMITTED => Frame::Reply(Reply::Submitted { job: r.u64()? }),
+        KIND_REJECTED => {
+            Frame::Reply(Reply::Rejected { reason: Backpressure::decode_from(&mut r)? })
+        }
+        KIND_STATUS_REPLY => Frame::Reply(Reply::Status {
+            job: r.u64()?,
+            phase: JobPhase::from_code(r.u8()?)?,
+            detail: r.str()?,
+        }),
+        KIND_RESULT_REPLY => Frame::Reply(Reply::Result {
+            job: r.u64()?,
+            phase: JobPhase::from_code(r.u8()?)?,
+            outcome_json: r.str()?,
+            report_json: r.str()?,
+            events_jsonl: r.str()?,
+        }),
+        KIND_CANCELLED => Frame::Reply(Reply::Cancelled { job: r.u64()? }),
+        KIND_DRAINING => Frame::Reply(Reply::Draining { pending: r.u64()? }),
+        KIND_ERROR => Frame::Reply(Reply::Error { message: r.str()? }),
+        other => return Err(ProtoError::Malformed(format!("unknown frame kind {other}"))),
+    };
+    r.finish()?;
+    Ok(frame)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nautilus_obs::crc32;
 
     fn sample_spec() -> JobSpec {
         JobSpec {
@@ -563,6 +409,15 @@ mod tests {
     }
 
     #[test]
+    fn oversized_body_length_is_rejected_before_allocation() {
+        let mut record = Frame::Request(Request::Ping).encode();
+        record[12..20].copy_from_slice(&(MAX_BODY_LEN + 1).to_le_bytes());
+        assert!(
+            matches!(Frame::decode(&record), Err(ProtoError::Oversized(n)) if n == MAX_BODY_LEN + 1)
+        );
+    }
+
+    #[test]
     fn every_prefix_truncation_is_detected() {
         let record = Frame::Reply(Reply::Submitted { job: 1 }).encode();
         for cut in 0..record.len() {
@@ -582,19 +437,6 @@ mod tests {
         assert!(matches!(Frame::decode(&record), Err(ProtoError::UnsupportedVersion(99))));
         let mut cursor = std::io::Cursor::new(record);
         assert!(matches!(Frame::read_from(&mut cursor), Err(ProtoError::UnsupportedVersion(99))));
-    }
-
-    #[test]
-    fn oversized_and_eof_classification() {
-        let mut record = Frame::Request(Request::Ping).encode();
-        record[12..20].copy_from_slice(&(MAX_BODY_LEN + 1).to_le_bytes());
-        assert!(matches!(Frame::decode(&record), Err(ProtoError::Oversized(_))));
-
-        let mut empty = std::io::Cursor::new(Vec::<u8>::new());
-        assert!(matches!(Frame::read_from(&mut empty), Err(ProtoError::CleanEof)));
-        let full = Frame::Request(Request::Ping).encode();
-        let mut partial = std::io::Cursor::new(full[..10].to_vec());
-        assert!(matches!(Frame::read_from(&mut partial), Err(ProtoError::Truncated)));
     }
 
     #[test]

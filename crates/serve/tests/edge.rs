@@ -135,6 +135,41 @@ fn a_stalled_client_cannot_delay_unrelated_work() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The read deadline bounds the whole request frame, not each read: a
+/// client trickling a valid request one byte at a time, every byte well
+/// inside the deadline, is still cut off once the deadline has passed.
+#[test]
+fn a_trickled_request_is_cut_off_at_the_frame_deadline() {
+    let dir = tempdir("trickle");
+    let timeout = Duration::from_millis(300);
+    let mut cfg = DaemonConfig::new(&dir);
+    cfg.conn_read_timeout = timeout;
+    let daemon = Daemon::start(cfg).unwrap();
+
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let trickler = std::thread::spawn(move || {
+        for byte in Frame::Request(Request::Ping).encode() {
+            if writer.write_all(&[byte]).is_err() {
+                break;
+            }
+            std::thread::sleep(timeout * 3 / 5);
+        }
+    });
+    // The daemon closes the connection at the deadline. Whether the
+    // deadline reply arrives or the close resets the socket first depends
+    // on when the next byte lands, so only the close is asserted.
+    let _ = stream.read_to_end(&mut Vec::new());
+    let held = started.elapsed();
+    assert!(held < timeout * 2, "a trickling client held its connection for {held:?}");
+    assert_eq!(daemon.edge_tally().conn_stalls, 1);
+    trickler.join().unwrap();
+    daemon.drain_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Beyond `max_connections`, new connections are shed on the accept
 /// thread with a typed `TooManyConnections` refusal instead of queueing
 /// behind stalled handlers; capacity returns once the holders drain.

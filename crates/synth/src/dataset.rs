@@ -67,7 +67,7 @@ impl Dataset {
     /// Pass `threads == 0` to use every core the host offers
     /// (`std::thread::available_parallelism`); any non-zero count is used
     /// as given — there is no hidden cap. Workers pull
-    /// [`STEAL_BLOCK`]-sized index blocks from a shared atomic cursor, so
+    /// `STEAL_BLOCK`-sized (256) index blocks from a shared atomic cursor, so
     /// an expensive region of the space cannot strand one statically
     /// chunked worker with most of the work. Results are merged in flat
     /// index order: entry order (and hence every rank query) is identical

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Offline pre-commit gate: replay, tool-farm and daemon-sweep outcome
-# digests, the std-only workspace check, formatting, lints, tests.
+# digests, the std-only workspace check, formatting, lints, rustdoc,
+# tests.
 #
 # Usage: scripts/check.sh [--tsan]
 #
@@ -8,8 +9,9 @@
 # so no network access is required (--offline everywhere).
 #
 # --tsan (opt-in) instead runs the concurrency hammer tests — the
-# synthesis-job memo and runner and the supervised-evaluation watchdog
-# workers — under ThreadSanitizer. Requires a nightly toolchain with the rust-src
+# synthesis-job memo and runner, and the evaluation pool (ga's only
+# `unsafe` concurrency) with the batched engine on top of it — under
+# ThreadSanitizer. Requires a nightly toolchain with the rust-src
 # component (`-Zsanitizer=thread` needs an instrumented std via
 # -Zbuild-std; a prebuilt std would report false races inside its own
 # uninstrumented synchronization).
@@ -50,10 +52,10 @@ if [ "${1:-}" = "--tsan" ]; then
     require_tests env RUSTFLAGS="${RUSTFLAGS:-} -Zsanitizer=thread" cargo +nightly test \
         --offline -Zbuild-std --target "$host" -p nautilus-synth --lib -- \
         hammer concurrent_evaluation
-    echo "==> ThreadSanitizer: watchdog worker and supervised engine hammers"
+    echo "==> ThreadSanitizer: evaluation pool and batched engine hammers"
     require_tests env RUSTFLAGS="${RUSTFLAGS:-} -Zsanitizer=thread" cargo +nightly test \
         --offline -Zbuild-std --target "$host" -p nautilus-ga --lib -- \
-        reclaimable_worker
+        pool:: batched
     echo "TSan checks passed."
     exit 0
 fi
@@ -118,6 +120,10 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# Broken or private intra-doc links fail here, not in a reader's browser.
+RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test -q"
 cargo test -q --workspace --offline
