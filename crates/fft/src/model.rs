@@ -15,7 +15,7 @@
 //! throughput-per-LUT is ~1.5–1.7 MSPS/LUT, the values the paper's
 //! Figures 6 and 7 report.
 
-use nautilus_ga::{GeneRows, Genome, ParamSpace};
+use nautilus_ga::{Genome, ParamSpace};
 use nautilus_synth::noise::noise_factor_genes;
 use nautilus_synth::{CostModel, MetricCatalog, MetricSet};
 
@@ -82,14 +82,6 @@ impl CostModel for FftModel {
 
     fn evaluate(&self, g: &Genome) -> Option<MetricSet> {
         self.eval_genes(g.genes())
-    }
-
-    fn evaluate_rows(&self, rows: GeneRows<'_>, out: &mut Vec<Option<MetricSet>>) {
-        // Slice-native batch kernel: no scratch genome, no per-point
-        // dispatch.
-        for row in rows.iter() {
-            out.push(self.eval_genes(row));
-        }
     }
 }
 
@@ -326,21 +318,5 @@ mod tests {
         let m = FftModel::new();
         let g = m.space().genome_at(7_777);
         assert_eq!(m.evaluate(&g), m.evaluate(&g));
-    }
-
-    #[test]
-    fn batch_kernel_is_bit_identical_to_per_point_path() {
-        // Includes infeasible rows: the batch kernel must report them as
-        // None in place, exactly like the per-point path.
-        let m = FftModel::new();
-        let genomes: Vec<_> =
-            (0..60u128).map(|i| m.space().genome_at(i * 227 % m.space().cardinality())).collect();
-        let flat: Vec<u32> = genomes.iter().flat_map(|g| g.genes().iter().copied()).collect();
-        let mut batch = Vec::new();
-        m.evaluate_rows(GeneRows::new(&flat, m.space().num_params()), &mut batch);
-        assert!(batch.iter().any(|r| r.is_none()), "sample should hit infeasible points");
-        for (g, got) in genomes.iter().zip(&batch) {
-            assert_eq!(*got, m.evaluate(g), "batch row diverged for {g:?}");
-        }
     }
 }

@@ -86,14 +86,6 @@ impl PopArena {
         self.cur.chunks_exact(self.gene_len)
     }
 
-    /// The whole current generation as one contiguous gene slice
-    /// (`len() * gene_len()` values) — the SIMD-friendly layout batch
-    /// evaluators consume.
-    #[must_use]
-    pub fn flat(&self) -> &[u32] {
-        &self.cur
-    }
-
     /// Appends a row to the *current* generation.
     ///
     /// # Panics
@@ -149,7 +141,6 @@ mod tests {
         assert_eq!(arena.gene_len(), 3);
         assert_eq!(arena.row(2), &[2, 3, 4]);
         assert_eq!(arena.to_genomes(), pop);
-        assert_eq!(arena.flat().len(), 12);
         assert_eq!(arena.rows().count(), 4);
     }
 

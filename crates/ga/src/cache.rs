@@ -53,38 +53,23 @@ impl EvalCache {
         v
     }
 
-    /// Returns the cached value without evaluating.
+    /// Returns the cached value of the genome with these genes without
+    /// evaluating or counting a lookup.
     #[must_use]
-    pub fn peek(&self, genome: &Genome) -> Option<Option<f64>> {
-        self.map.get(genome).copied()
-    }
-
-    /// [`EvalCache::peek`] keyed by a raw gene row — no `Genome`
-    /// allocation, used by the structure-of-arrays scoring path.
-    #[must_use]
-    pub fn peek_genes(&self, genes: &[u32]) -> Option<Option<f64>> {
+    pub fn peek(&self, genes: &[u32]) -> Option<Option<f64>> {
         self.map.get(genes).copied()
     }
 
-    /// [`EvalCache::lookup`] keyed by a raw gene row: counts a hit when
-    /// present, without allocating a `Genome`.
-    pub fn lookup_genes(&mut self, genes: &[u32]) -> Option<Option<f64>> {
-        let v = self.map.get(genes).copied();
-        if v.is_some() {
-            self.hits += 1;
-        }
-        v
-    }
-
-    /// Looks `genome` up, counting a cache hit when present.
+    /// Looks the genome with these genes up, counting a cache hit when
+    /// present.
     ///
     /// This is the lookup half of [`EvalCache::get_or_eval`]: it updates
     /// the hit counter exactly as `get_or_eval` would on a hit, but never
     /// evaluates. Batch evaluation uses it (together with
     /// [`EvalCache::insert_evaluated`]) to keep counters bit-identical to
     /// the serial path.
-    pub fn lookup(&mut self, genome: &Genome) -> Option<Option<f64>> {
-        let v = self.map.get(genome).copied();
+    pub fn lookup(&mut self, genes: &[u32]) -> Option<Option<f64>> {
+        let v = self.map.get(genes).copied();
         if v.is_some() {
             self.hits += 1;
         }
@@ -98,21 +83,8 @@ impl EvalCache {
     /// inserts them in deterministic first-occurrence order; an already
     /// present genome is left untouched (no counter changes), mirroring
     /// the fact that the serial path would never have re-evaluated it.
-    pub fn insert_evaluated(&mut self, genome: &Genome, value: Option<f64>) {
-        if self.map.contains_key(genome) {
-            return;
-        }
-        match value {
-            Some(_) => self.feasible_misses += 1,
-            None => self.infeasible_misses += 1,
-        }
-        self.map.insert(genome.clone(), value);
-    }
-
-    /// [`EvalCache::insert_evaluated`] keyed by a raw gene row: the
-    /// owning [`Genome`] is only allocated on an actual insert, so the
-    /// structure-of-arrays merge path pays nothing for re-inserts.
-    pub fn insert_evaluated_genes(&mut self, genes: &[u32], value: Option<f64>) {
+    /// The owning [`Genome`] key is only allocated on an actual insert.
+    pub fn insert_evaluated(&mut self, genes: &[u32], value: Option<f64>) {
         if self.map.contains_key(genes) {
             return;
         }
@@ -123,8 +95,14 @@ impl EvalCache {
         self.map.insert(Genome::from_genes(genes.to_vec()), value);
     }
 
-    /// [`EvalCache::insert_quarantined`] keyed by a raw gene row.
-    pub fn insert_quarantined_genes(&mut self, genes: &[u32]) {
+    /// Quarantines the genome with these genes: every evaluation attempt
+    /// failed, so it is memoized as infeasible-scoring (`None`) and never
+    /// re-evaluated, but counted on its own ledger — a quarantined point
+    /// consumed retry attempts, not a completed generator run.
+    ///
+    /// Idempotent: a genome already present (evaluated or quarantined) is
+    /// left untouched.
+    pub fn insert_quarantined(&mut self, genes: &[u32]) {
         if self.map.contains_key(genes) {
             return;
         }
@@ -133,25 +111,10 @@ impl EvalCache {
         self.quarantined.insert(genome);
     }
 
-    /// Quarantines `genome`: every evaluation attempt failed, so it is
-    /// memoized as infeasible-scoring (`None`) and never re-evaluated,
-    /// but counted on its own ledger — a quarantined point consumed retry
-    /// attempts, not a completed generator run.
-    ///
-    /// Idempotent: a genome already present (evaluated or quarantined) is
-    /// left untouched.
-    pub fn insert_quarantined(&mut self, genome: &Genome) {
-        if self.map.contains_key(genome) {
-            return;
-        }
-        self.map.insert(genome.clone(), None);
-        self.quarantined.insert(genome.clone());
-    }
-
-    /// Whether `genome` was quarantined.
+    /// Whether the genome with these genes was quarantined.
     #[must_use]
-    pub fn is_quarantined(&self, genome: &Genome) -> bool {
-        self.quarantined.contains(genome)
+    pub fn is_quarantined(&self, genes: &[u32]) -> bool {
+        self.quarantined.contains(genes)
     }
 
     /// Number of quarantined genomes.
@@ -335,9 +298,9 @@ mod tests {
     #[test]
     fn peek_does_not_count_as_lookup() {
         let mut c = EvalCache::new();
-        assert_eq!(c.peek(&g(0)), None);
+        assert_eq!(c.peek(&[0]), None);
         c.get_or_eval(&g(0), |_| Some(2.0));
-        assert_eq!(c.peek(&g(0)), Some(Some(2.0)));
+        assert_eq!(c.peek(&[0]), Some(Some(2.0)));
         assert_eq!(c.lookups(), 1);
     }
 
@@ -357,26 +320,26 @@ mod tests {
     #[test]
     fn quarantined_genomes_score_infeasible_and_are_never_reevaluated() {
         let mut c = EvalCache::new();
-        c.insert_quarantined(&g(9));
-        assert!(c.is_quarantined(&g(9)));
-        assert_eq!(c.peek(&g(9)), Some(None), "quarantine memoizes an infeasible score");
+        c.insert_quarantined(&[9]);
+        assert!(c.is_quarantined(&[9]));
+        assert_eq!(c.peek(&[9]), Some(None), "quarantine memoizes an infeasible score");
         assert_eq!(c.quarantined(), 1);
         // Quarantine is a separate ledger, not an infeasible generator run.
         assert_eq!(c.infeasible_evals(), 0);
         assert_eq!(c.distinct_evals(), 0);
         // Re-quarantining or re-evaluating is a no-op.
-        c.insert_quarantined(&g(9));
-        c.insert_evaluated(&g(9), Some(5.0));
-        assert_eq!(c.peek(&g(9)), Some(None));
+        c.insert_quarantined(&[9]);
+        c.insert_evaluated(&[9], Some(5.0));
+        assert_eq!(c.peek(&[9]), Some(None));
         assert_eq!(c.quarantined(), 1);
         // A later lookup is an ordinary cache hit.
-        assert_eq!(c.lookup(&g(9)), Some(None));
+        assert_eq!(c.lookup(&[9]), Some(None));
         assert_eq!(c.hits(), 1);
         // An evaluated genome cannot be retroactively quarantined.
-        c.insert_evaluated(&g(1), Some(2.0));
-        c.insert_quarantined(&g(1));
-        assert!(!c.is_quarantined(&g(1)));
-        assert_eq!(c.peek(&g(1)), Some(Some(2.0)));
+        c.insert_evaluated(&[1], Some(2.0));
+        c.insert_quarantined(&[1]);
+        assert!(!c.is_quarantined(&[1]));
+        assert_eq!(c.peek(&[1]), Some(Some(2.0)));
         assert_eq!(c.stats().quarantined, 1);
     }
 
@@ -386,7 +349,7 @@ mod tests {
         c.get_or_eval(&g(3), |_| Some(7.5));
         c.get_or_eval(&g(3), |_| Some(99.0)); // hit
         c.get_or_eval(&g(1), |_| None);
-        c.insert_quarantined(&g(2));
+        c.insert_quarantined(&[2]);
         let snap = c.snapshot();
         // Sorted by genome regardless of HashMap iteration order.
         let keys: Vec<u32> = snap.entries.iter().map(|(g, _)| g.gene_at(0)).collect();
@@ -395,10 +358,10 @@ mod tests {
 
         let r = EvalCache::restore(&snap);
         assert_eq!(r.stats(), c.stats());
-        assert_eq!(r.peek(&g(3)), Some(Some(7.5)));
-        assert_eq!(r.peek(&g(1)), Some(None));
-        assert!(r.is_quarantined(&g(2)));
-        assert!(!r.is_quarantined(&g(1)));
+        assert_eq!(r.peek(&[3]), Some(Some(7.5)));
+        assert_eq!(r.peek(&[1]), Some(None));
+        assert!(r.is_quarantined(&[2]));
+        assert!(!r.is_quarantined(&[1]));
         assert_eq!(r.snapshot(), snap, "snapshot of a restore is identical");
     }
 
@@ -415,7 +378,7 @@ mod tests {
                 expected_lookups += 1;
             }
             if i % 7 == 0 {
-                c.insert_quarantined(&g(1000 + i));
+                c.insert_quarantined(&[1000 + i]);
             }
         }
         let s = c.stats();

@@ -1,5 +1,9 @@
 //! The generational GA engine.
 
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
 use nautilus_obs::{capture_events, Phase, SearchEvent, SearchObserver, SpanRecorder, Tracer};
 
 use crate::arena::PopArena;
@@ -10,7 +14,7 @@ use crate::error::{GaError, Result};
 use crate::fallible::{
     evaluate_with_retries, EvalRecord, FallibleEvaluator, FaultStats, RetryPolicy,
 };
-use crate::fitness::{FitnessFn, GeneRows};
+use crate::fitness::FitnessFn;
 use crate::genome::Genome;
 use crate::ops::{CrossoverOp, MutationOp, OnePointCrossover, OpCtx, UniformMutation};
 use crate::pool::EvalPool;
@@ -294,8 +298,8 @@ impl<'a> GaEngine<'a> {
         self
     }
 
-    /// Installs a [`Supervisor`]: generational scoring routes through the
-    /// supervised batched path (watchdog deadlines, straggler hedging,
+    /// Installs a [`Supervisor`]: generational scoring takes the batched
+    /// path under supervision (watchdog deadlines, straggler hedging,
     /// circuit breaker) at every `eval_workers` setting, and the breaker
     /// state rides every checkpoint under the [`AUX_BREAKER`] aux key.
     ///
@@ -557,22 +561,9 @@ impl<'a> GaEngine<'a> {
             // Score the population (cache makes revisits free).
             let scoring_span = nautilus_obs::span(obs, "scoring");
             let scoring_start = rec.as_ref().map(SpanRecorder::begin);
-            let mut scored: Vec<ScoredGenome> = if let Some(sup) = self.supervisor {
-                // Supervision always takes the batched path: watchdog,
-                // hedging and breaker decisions live in the merge loop,
-                // which is identical at every worker count.
-                self.score_supervised(
-                    &population,
-                    &mut cache,
-                    &mut faults,
-                    workers.max(1),
-                    generation,
-                    sup,
-                    session.as_mut().expect("session exists whenever a supervisor is installed"),
-                    &pool,
-                    &mut rec,
-                )
-            } else if workers <= 1 {
+            let mut scored: Vec<ScoredGenome> = if self.supervisor.is_none() && workers <= 1 {
+                // One unsupervised worker scores inline: no miss list, no
+                // pool job and no event capture to pay for.
                 let mut scratch = Genome::from_genes(Vec::with_capacity(population.gene_len()));
                 let mut scored = Vec::with_capacity(population.len());
                 for i in 0..population.len() {
@@ -583,12 +574,22 @@ impl<'a> GaEngine<'a> {
                 }
                 scored
             } else {
+                // Supervision always takes the batched path: watchdog,
+                // hedging and breaker decisions live in the merge loop,
+                // which is identical at every worker count.
+                let supervision = self.supervisor.map(|sup| {
+                    let session = session
+                        .as_mut()
+                        .expect("session exists whenever a supervisor is installed");
+                    (sup, session)
+                });
                 self.score_batched(
                     &population,
                     &mut cache,
                     &mut faults,
                     workers,
                     generation,
+                    supervision,
                     &pool,
                     &mut rec,
                 )
@@ -799,13 +800,14 @@ impl<'a> GaEngine<'a> {
         faults: &mut FaultStats,
         rec: &mut Option<SpanRecorder<'_>>,
     ) -> Option<f64> {
-        if let Some(value) = timed(rec, Phase::CacheLookup, || cache.lookup(genome)) {
+        let genes = genome.genes();
+        if let Some(value) = timed(rec, Phase::CacheLookup, || cache.lookup(genes)) {
             return value;
         }
         match self.fallible {
             None => {
                 let value = timed(rec, Phase::MissEval, || self.fitness.fitness(genome));
-                cache.insert_evaluated(genome, value);
+                cache.insert_evaluated(genes, value);
                 value
             }
             Some(eval) => {
@@ -815,11 +817,11 @@ impl<'a> GaEngine<'a> {
                 self.note_record(&record, faults);
                 match record.value {
                     Some(value) => {
-                        cache.insert_evaluated(genome, value);
+                        cache.insert_evaluated(genes, value);
                         value
                     }
                     None => {
-                        cache.insert_quarantined(genome);
+                        cache.insert_quarantined(genes);
                         None
                     }
                 }
@@ -867,22 +869,31 @@ impl<'a> GaEngine<'a> {
         }
     }
 
-    /// Scores one generation by evaluating its distinct cache misses as a
-    /// parallel batch on the persistent [`EvalPool`].
+    /// Scores one generation by evaluating its distinct cache misses as
+    /// one batch on the persistent [`EvalPool`]: every generation of a
+    /// multi-worker run, and every generation of a supervised run at any
+    /// worker count.
     ///
     /// Equivalence with the serial path is by construction:
     ///
-    /// 1. Misses are collected — as packed gene rows in one contiguous
-    ///    buffer — in first-occurrence population order, the exact order
-    ///    the serial path would have evaluated them.
-    /// 2. Workers pull contiguous row chunks from an atomic cursor; the
-    ///    RNG is never touched and completion order is irrelevant because
-    ///    results are keyed by starting row index.
-    /// 3. Results are inserted into the cache in first-occurrence order,
-    ///    so miss counters and map contents match the serial path.
-    ///    Captured evaluator telemetry replays in that same order: chunks
-    ///    are contiguous ranges of the miss list, so sorted chunk
-    ///    concatenation *is* the serial per-miss event order.
+    /// 1. Misses are collected in first-occurrence population order, the
+    ///    exact order the serial path would have evaluated them. Under
+    ///    supervision, breaker admission is then frozen in that order
+    ///    before anything runs: shed misses are quarantined on the spot
+    ///    (degraded cache-only mode costs no retry budget), and a trip
+    ///    during the merge affects the next batch, never this one.
+    /// 2. Workers pull miss indices from one atomic cursor and take one
+    ///    step per miss: the plain fitness function, the fallible
+    ///    evaluator's retry loop, or the supervisor's attempt
+    ///    precomputation. The RNG is never touched, results are keyed by
+    ///    miss index, and telemetry a step emits is captured per miss
+    ///    instead of racing into the shared observer.
+    /// 3. The merge thread folds results into the cache in
+    ///    first-occurrence order, so miss counters and map contents match
+    ///    the serial path. Captured telemetry replays in that order too:
+    ///    each miss's events right before its own record, or, under
+    ///    supervision, all of them before the first resolve decision
+    ///    (hedges and post-hedge retries run inline during the merge).
     /// 4. The scoring pass then charges a cache hit for every lookup the
     ///    serial path would have answered from the cache (everything
     ///    except each miss's first occurrence).
@@ -894,22 +905,37 @@ impl<'a> GaEngine<'a> {
         faults: &mut FaultStats,
         workers: usize,
         generation: u32,
+        mut supervision: Option<(&Supervisor<'_>, &mut SuperviseSession)>,
         pool: &EvalPool,
         rec: &mut Option<SpanRecorder<'_>>,
     ) -> Vec<ScoredGenome> {
         let direction = self.fitness.direction();
         let obs = self.observer;
-        let gene_len = population.gene_len();
-        let mut queued: std::collections::HashSet<&[u32]> = std::collections::HashSet::new();
-        let mut miss_buf: Vec<u32> = Vec::new();
+        let mut queued: HashSet<&[u32]> = HashSet::new();
+        // `(genes, probe)` per miss; only admission marks a breaker probe.
+        let mut misses: Vec<(&[u32], bool)> = Vec::new();
         timed(rec, Phase::CacheLookup, || {
             for row in population.rows() {
-                if cache.peek_genes(row).is_none() && queued.insert(row) {
-                    miss_buf.extend_from_slice(row);
+                if cache.peek(row).is_none() && queued.insert(row) {
+                    misses.push((row, false));
                 }
             }
         });
-        let n = miss_buf.len() / gene_len;
+        if let Some((_, session)) = supervision.as_mut() {
+            session.begin_batch();
+            misses.retain_mut(|(row, probe)| match session.admit(obs) {
+                Admission::Shed => {
+                    cache.insert_quarantined(row);
+                    false
+                }
+                Admission::Evaluate => true,
+                Admission::Probe => {
+                    *probe = true;
+                    true
+                }
+            });
+        }
+        let n = misses.len();
 
         if obs.enabled() {
             obs.on_event(&SearchEvent::EvalBatch {
@@ -920,72 +946,45 @@ impl<'a> GaEngine<'a> {
         }
 
         if n > 0 {
+            let supervisor = supervision.as_ref().map(|&(sup, _)| sup);
             let fitness = self.fitness;
             let fallible = self.fallible;
             let retry = self.retry;
             let tracer = self.tracer;
             let capture = obs.enabled();
-            let rows = GeneRows::new(&miss_buf, gene_len);
-            let total = workers.min(n);
-            // Four chunks per worker balance tail latency against
-            // per-chunk overhead; chunks stay contiguous so sorted replay
-            // preserves the serial event order.
-            let chunk = n.div_ceil(total * 4).max(1);
-            let cursor = std::sync::atomic::AtomicUsize::new(0);
-            let results: std::sync::Mutex<Vec<ChunkResult>> = std::sync::Mutex::new(Vec::new());
-            // Every worker — the merge thread runs slot 0 itself — drains
-            // chunks off the cursor. Telemetry the evaluator emits is
-            // captured into per-chunk local buffers instead of racing into
-            // the shared observer; the merge loop below replays it all in
-            // deterministic first-occurrence order.
+            let gene_len = population.gene_len();
+            let misses = &misses;
+            let cursor = AtomicUsize::new(0);
+            let results: Mutex<Vec<(usize, MissStep, Vec<SearchEvent>)>> = Mutex::new(Vec::new());
+            // Every worker (the merge thread runs slot 0 itself) drains
+            // miss indices off the cursor into a local buffer.
             let job = |slot: usize| {
                 let mut wrec = tracer.map(|t| t.recorder(&format!("worker-{slot}")));
-                let mut local: Vec<ChunkResult> = Vec::new();
+                let mut scratch = Genome::from_genes(Vec::with_capacity(gene_len));
+                let mut local = Vec::new();
                 loop {
-                    let start = cursor.fetch_add(chunk, std::sync::atomic::Ordering::Relaxed);
-                    if start >= n {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
                         break;
                     }
-                    let end = (start + chunk).min(n);
-                    match fallible {
-                        None => {
-                            // Infallible misses evaluate as one SoA batch
-                            // kernel call over the whole chunk.
-                            let view = rows.slice_rows(start, end);
-                            let eval_chunk = || {
-                                let mut vals = Vec::with_capacity(end - start);
-                                fitness.fitness_rows(view, &mut vals);
-                                vals
-                            };
-                            let (vals, events) = timed(&mut wrec, Phase::MissEval, || {
-                                if capture {
-                                    capture_events(eval_chunk)
-                                } else {
-                                    (eval_chunk(), Vec::new())
-                                }
-                            });
-                            let records = vals.into_iter().map(EvalRecord::evaluated).collect();
-                            local.push((start, records, events));
+                    scratch.copy_from_slice(misses[i].0);
+                    let step = || match (supervisor, fallible) {
+                        (Some(sup), _) => MissStep::Precomputed(sup.precompute(&retry, &scratch)),
+                        (None, Some(eval)) => {
+                            MissStep::Done(evaluate_with_retries(eval, &scratch, &retry))
                         }
-                        Some(eval) => {
-                            // The fallible path stays per-row: each row's
-                            // captured events must interleave with its own
-                            // fault events at the merge.
-                            let mut scratch = Genome::from_genes(Vec::with_capacity(gene_len));
-                            for i in start..end {
-                                scratch.copy_from_slice(rows.row(i));
-                                let eval_one = || evaluate_with_retries(eval, &scratch, &retry);
-                                let (record, events) = timed(&mut wrec, Phase::MissEval, || {
-                                    if capture {
-                                        capture_events(eval_one)
-                                    } else {
-                                        (eval_one(), Vec::new())
-                                    }
-                                });
-                                local.push((i, vec![record], events));
-                            }
+                        (None, None) => {
+                            MissStep::Done(EvalRecord::evaluated(fitness.fitness(&scratch)))
                         }
-                    }
+                    };
+                    let (step, events) = timed(&mut wrec, Phase::MissEval, || {
+                        if capture {
+                            capture_events(step)
+                        } else {
+                            (step(), Vec::new())
+                        }
+                    });
+                    local.push((i, step, events));
                 }
                 if !local.is_empty() {
                     results.lock().expect("batch results lock").extend(local);
@@ -995,29 +994,52 @@ impl<'a> GaEngine<'a> {
             // `batch_wait` along with the drain: on a single-core host
             // `notify_all` preempts this thread in favor of the woken
             // helpers, so the wake call blocks for helper compute time.
-            let ticket =
-                timed(rec, Phase::BatchDispatch, || pool.publish(&job, total.saturating_sub(1)));
+            let ticket = timed(rec, Phase::BatchDispatch, || {
+                pool.publish(&job, workers.min(n).saturating_sub(1))
+            });
             timed(rec, Phase::BatchWait, || ticket.wake());
             job(0);
             timed(rec, Phase::BatchWait, || ticket.wait());
             let mut results = results.into_inner().expect("batch results lock");
             results.sort_unstable_by_key(|r| r.0);
-            // Merge in first-occurrence order so cache counters and fault
-            // events replay exactly as the serial path would emit them.
             timed(rec, Phase::BatchMerge, || {
-                for (start, records, events) in &results {
+                let replay = |events: &[SearchEvent]| {
                     if obs.enabled() {
                         for e in events {
                             obs.on_event(e);
                         }
                     }
-                    for (k, record) in records.iter().enumerate() {
-                        let row = rows.row(start + k);
-                        self.note_record(record, faults);
-                        match record.value {
-                            Some(value) => cache.insert_evaluated_genes(row, value),
-                            None => cache.insert_quarantined_genes(row),
+                };
+                if supervision.is_some() {
+                    for (_, _, events) in &results {
+                        replay(events);
+                    }
+                }
+                let mut scratch = Genome::from_genes(Vec::with_capacity(gene_len));
+                for (&(row, probe), (_, step, events)) in misses.iter().zip(results) {
+                    let record = match step {
+                        MissStep::Done(record) => {
+                            replay(&events);
+                            record
                         }
+                        MissStep::Precomputed(outcomes) => {
+                            let (sup, session) =
+                                supervision.as_mut().expect("only supervised batches precompute");
+                            scratch.copy_from_slice(row);
+                            session.resolve(
+                                sup.evaluator(),
+                                &self.retry,
+                                &scratch,
+                                &outcomes,
+                                probe,
+                                obs,
+                            )
+                        }
+                    };
+                    self.note_record(&record, faults);
+                    match record.value {
+                        Some(value) => cache.insert_evaluated(row, value),
+                        None => cache.insert_quarantined(row),
                     }
                 }
             });
@@ -1030,148 +1052,9 @@ impl<'a> GaEngine<'a> {
                 .rows()
                 .map(|row| {
                     let raw = if fresh.remove(row) {
-                        cache.peek_genes(row).expect("batch inserted this genome")
+                        cache.peek(row).expect("batch resolved this genome")
                     } else {
-                        cache.lookup_genes(row).expect("population member must be cached by now")
-                    };
-                    let score = raw.map_or(f64::NEG_INFINITY, |v| direction.to_score(v));
-                    ScoredGenome { genome: Genome::from_genes(row.to_vec()), score }
-                })
-                .collect()
-        })
-    }
-
-    /// Scores one generation under supervision: breaker admission, worker
-    /// precomputation of attempt outcomes, then a merge-order virtual
-    /// retry loop with watchdog and hedging.
-    ///
-    /// Determinism across worker counts holds because every decision that
-    /// can differ between runs is made on the merge thread in
-    /// first-occurrence miss order: admission is frozen before any
-    /// evaluation starts, workers only precompute the deterministic
-    /// per-genome attempt slices (pulling indices from an atomic cursor,
-    /// results keyed by index), and hedges / post-hedge retries are
-    /// evaluated inline during the merge.
-    #[allow(clippy::too_many_arguments)]
-    fn score_supervised(
-        &self,
-        population: &PopArena,
-        cache: &mut EvalCache,
-        faults: &mut FaultStats,
-        workers: usize,
-        generation: u32,
-        sup: &Supervisor<'_>,
-        session: &mut SuperviseSession,
-        pool: &EvalPool,
-        rec: &mut Option<SpanRecorder<'_>>,
-    ) -> Vec<ScoredGenome> {
-        let direction = self.fitness.direction();
-        let obs = self.observer;
-        let mut queued: std::collections::HashSet<&[u32]> = std::collections::HashSet::new();
-        // Supervision hands genomes to evaluator traits, so misses are
-        // rehydrated here (they are few and each costs a full evaluation).
-        let mut misses: Vec<Genome> = Vec::new();
-        timed(rec, Phase::CacheLookup, || {
-            for row in population.rows() {
-                if cache.peek_genes(row).is_none() && queued.insert(row) {
-                    misses.push(Genome::from_genes(row.to_vec()));
-                }
-            }
-        });
-
-        // Admission is frozen at batch start, in first-occurrence order:
-        // a breaker trip mid-merge affects the next batch, never this
-        // one. Shed genomes are quarantined on the spot — degraded
-        // cache-only mode costs no retry budget.
-        session.begin_batch();
-        let mut admitted: Vec<(&Genome, bool)> = Vec::new();
-        for g in &misses {
-            match session.admit(obs) {
-                Admission::Shed => cache.insert_quarantined(g),
-                Admission::Evaluate => admitted.push((g, false)),
-                Admission::Probe => admitted.push((g, true)),
-            }
-        }
-
-        if obs.enabled() {
-            obs.on_event(&SearchEvent::EvalBatch {
-                generation,
-                size: admitted.len(),
-                workers: workers.min(admitted.len().max(1)),
-            });
-        }
-
-        if !admitted.is_empty() {
-            let retry = self.retry;
-            let tracer = self.tracer;
-            let capture = obs.enabled();
-            let cursor = std::sync::atomic::AtomicUsize::new(0);
-            let n = admitted.len();
-            let results: std::sync::Mutex<Vec<PrecomputedAttempts>> =
-                std::sync::Mutex::new(Vec::new());
-            let admitted_ref = &admitted;
-            let job = |slot: usize| {
-                let mut wrec = tracer.map(|t| t.recorder(&format!("worker-{slot}")));
-                let mut local = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let precompute_one = || sup.precompute(&retry, admitted_ref[i].0);
-                    let outcome = timed(&mut wrec, Phase::MissEval, || {
-                        if capture {
-                            capture_events(precompute_one)
-                        } else {
-                            (precompute_one(), Vec::new())
-                        }
-                    });
-                    local.push((i, outcome));
-                }
-                if !local.is_empty() {
-                    results.lock().expect("precompute results lock").extend(local);
-                }
-            };
-            let ticket = timed(rec, Phase::BatchDispatch, || {
-                pool.publish(&job, workers.min(n).saturating_sub(1))
-            });
-            timed(rec, Phase::BatchWait, || ticket.wake());
-            job(0);
-            timed(rec, Phase::BatchWait, || ticket.wait());
-            let mut precomputed = results.into_inner().expect("precompute results lock");
-            precomputed.sort_unstable_by_key(|&(i, _)| i);
-            // Replay every worker's captured telemetry in admitted order
-            // before the first resolve decision — exactly the stream a
-            // single worker would have produced.
-            if obs.enabled() {
-                for (_, (_, events)) in &precomputed {
-                    for e in events {
-                        obs.on_event(e);
-                    }
-                }
-            }
-            timed(rec, Phase::BatchMerge, || {
-                for (&(g, probe), (_, (outcomes, _))) in admitted.iter().zip(&precomputed) {
-                    let record =
-                        session.resolve(sup.evaluator(), &self.retry, g, outcomes, probe, obs);
-                    self.note_record(&record, faults);
-                    match record.value {
-                        Some(value) => cache.insert_evaluated(g, value),
-                        None => cache.insert_quarantined(g),
-                    }
-                }
-            });
-        }
-
-        let mut fresh = queued;
-        timed(rec, Phase::CacheLookup, || {
-            population
-                .rows()
-                .map(|row| {
-                    let raw = if fresh.remove(row) {
-                        cache.peek_genes(row).expect("batch resolved this genome")
-                    } else {
-                        cache.lookup_genes(row).expect("population member must be cached by now")
+                        cache.lookup(row).expect("population member must be cached by now")
                     };
                     let score = raw.map_or(f64::NEG_INFINITY, |v| direction.to_score(v));
                     ScoredGenome { genome: Genome::from_genes(row.to_vec()), score }
@@ -1181,15 +1064,14 @@ impl<'a> GaEngine<'a> {
     }
 }
 
-/// One contiguous chunk's merged payload from the batched scoring path:
-/// `(starting miss index, one record per row, telemetry captured while the
-/// chunk evaluated)`.
-type ChunkResult = (usize, Vec<EvalRecord>, Vec<SearchEvent>);
-
-/// One admitted genome's precomputed supervised attempts plus the
-/// telemetry captured while producing them: `(admitted index, (attempt
-/// outcomes, buffered events))`.
-type PrecomputedAttempts = (usize, (Vec<AttemptOutcome>, Vec<SearchEvent>));
+/// What a pool worker computed for one cache miss.
+enum MissStep {
+    /// A finished evaluation: a plain fitness value or a retry loop's
+    /// record.
+    Done(EvalRecord),
+    /// A supervised miss's attempt outcomes, resolved on the merge thread.
+    Precomputed(Vec<AttemptOutcome>),
+}
 
 /// Runs `f` inside a `phase` span when a recorder is attached; with
 /// tracing off the cost is one branch on a `None`.

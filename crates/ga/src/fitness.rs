@@ -80,32 +80,14 @@ pub trait FitnessFn: Send + Sync {
 
     /// Evaluates the raw metric value for `genome`, or `None` if infeasible.
     fn fitness(&self, genome: &Genome) -> Option<f64>;
-
-    /// Evaluates a contiguous batch of gene rows, appending one result per
-    /// row to `out` in row order.
-    ///
-    /// The default rehydrates one reused scratch [`Genome`] per row and
-    /// calls [`FitnessFn::fitness`], so observable behavior (values,
-    /// emitted telemetry, call order) is exactly the per-point path.
-    /// Implementations backed by batchable cost models override this to
-    /// evaluate the whole slice without per-point dispatch; overrides must
-    /// preserve row order for both results and any telemetry they emit —
-    /// the engine's cross-worker determinism depends on it.
-    fn fitness_rows(&self, rows: GeneRows<'_>, out: &mut Vec<Option<f64>>) {
-        let mut scratch = Genome::from_genes(Vec::with_capacity(rows.gene_len()));
-        for row in rows.iter() {
-            scratch.copy_from_slice(row);
-            out.push(self.fitness(&scratch));
-        }
-    }
 }
 
-/// A borrowed structure-of-arrays view over genomes: `len()` rows of
-/// `gene_len()` genes packed back to back in one contiguous slice.
+/// A borrowed view over genomes: `len()` rows of `gene_len()` genes packed
+/// back to back in one contiguous slice.
 ///
-/// This is the layout the batch evaluation entry points consume
-/// ([`FitnessFn::fitness_rows`], the synthesis models' batch kernels):
-/// contiguous, SIMD-friendly, and free to slice into per-worker chunks.
+/// No search builds one. It is the argument of
+/// `nautilus_synth::CostModel::evaluate_rows`, which stays only for the
+/// benchmark's cost-model shims.
 #[derive(Debug, Clone, Copy)]
 pub struct GeneRows<'a> {
     genes: &'a [u32],
@@ -151,25 +133,6 @@ impl<'a> GeneRows<'a> {
     #[must_use]
     pub fn row(&self, i: usize) -> &'a [u32] {
         &self.genes[i * self.gene_len..(i + 1) * self.gene_len]
-    }
-
-    /// The underlying contiguous gene slice.
-    #[must_use]
-    pub fn flat(&self) -> &'a [u32] {
-        self.genes
-    }
-
-    /// A sub-view of rows `start..end`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    #[must_use]
-    pub fn slice_rows(&self, start: usize, end: usize) -> GeneRows<'a> {
-        GeneRows {
-            genes: &self.genes[start * self.gene_len..end * self.gene_len],
-            gene_len: self.gene_len,
-        }
     }
 
     /// Iterates rows in order.

@@ -14,7 +14,7 @@
 //! helpers, slots `1..=participants`), then runs `job(0)` itself so every
 //! configured worker — including the submitting thread — drains work, and
 //! finally blocks in [`BatchTicket::wait`] until all helpers finished.
-//! Work distribution (a chunked atomic cursor) lives inside the job
+//! Work distribution (an atomic miss-index cursor) lives inside the job
 //! closure; the pool only coordinates lifecycle.
 //!
 //! ## Safety

@@ -216,7 +216,7 @@ fn cache_snapshot_restore_is_lossless() {
         assert_eq!(again.feasible_misses, canon.feasible_misses);
         assert_eq!(again.infeasible_misses, canon.infeasible_misses);
         for (g, v) in &canon.entries {
-            let got = cache.peek(g).expect("entry must be present");
+            let got = cache.peek(g.genes()).expect("entry must be present");
             match (got, v) {
                 (Some(a), Some(b)) => assert_eq!(a.to_bits(), b.to_bits()),
                 (None, None) => {}

@@ -10,7 +10,7 @@ use nautilus_ga::{
     GaEngine, GaError, GaSettings, Genome, NeverHangs, ParamSpace, RunBudget, StopReason,
     SupervisableEvaluator, SupervisePolicy, Supervisor, WatchdogPolicy, HEDGE_ATTEMPT_BIT,
 };
-use nautilus_obs::HealthState;
+use nautilus_obs::{BatchEventBuffer, HealthState, InMemorySink, SearchEvent, SearchObserver};
 
 fn space() -> ParamSpace {
     ParamSpace::builder().int("x", 0, 31, 1).int("y", 0, 31, 1).int("z", 0, 31, 1).build().unwrap()
@@ -78,6 +78,40 @@ fn chaos_policy() -> SupervisePolicy {
     }
 }
 
+/// Reports every attempt through a capture-aware observer, the way the
+/// synthesis runner reports through its `BatchEventBuffer`. The payload
+/// names the (genome, attempt) pair, so any reordering shows.
+struct Reporting<'a> {
+    inner: &'a ChaoticEval,
+    obs: &'a BatchEventBuffer<'a>,
+}
+
+impl SupervisableEvaluator for Reporting<'_> {
+    fn attempt(&self, genome: &Genome, attempt: u32) -> AttemptOutcome {
+        let size = genome.stable_hash(u64::from(attempt)) as usize;
+        self.obs.on_event(&SearchEvent::ParetoUpdated { size });
+        self.inner.attempt(genome, attempt)
+    }
+}
+
+/// Zeroes what legitimately differs between runs: wall-clock payloads and
+/// the worker count a batch reports.
+fn normalize(events: Vec<SearchEvent>) -> Vec<SearchEvent> {
+    events
+        .into_iter()
+        .map(|e| match e {
+            SearchEvent::SpanEnd { name, .. } => SearchEvent::SpanEnd { name, nanos: 0 },
+            SearchEvent::RunEnd { best_value, distinct_evals, .. } => {
+                SearchEvent::RunEnd { best_value, distinct_evals, wall_nanos: 0 }
+            }
+            SearchEvent::EvalBatch { generation, size, .. } => {
+                SearchEvent::EvalBatch { generation, size, workers: 0 }
+            }
+            other => other,
+        })
+        .collect()
+}
+
 #[test]
 fn supervised_runs_are_identical_at_any_worker_count() {
     let s = space();
@@ -85,28 +119,42 @@ fn supervised_runs_are_identical_at_any_worker_count() {
     // Success durations spread over 50..=1550ms against a 1000ms
     // deadline, so some clean results arrive late and are discarded.
     let eval = ChaoticEval { seed: 0xC4405, hang_rate: 0.10, fail_rate: 0.10, cost_span: 1_501 };
-    let sup = Supervisor::new(&eval).with_policy(chaos_policy());
+    let run = |workers: usize| {
+        let sink = InMemorySink::new();
+        let buffered = BatchEventBuffer::new(&sink);
+        let reporting = Reporting { inner: &eval, obs: &buffered };
+        let sup = Supervisor::new(&reporting).with_policy(chaos_policy());
+        let settings = GaSettings { generations: 20, eval_workers: workers, ..Default::default() };
+        let run = GaEngine::new(&s, &f)
+            .with_settings(settings)
+            .with_supervisor(&sup)
+            .with_observer(&sink)
+            .run(0xFEED)
+            .unwrap();
+        (run, normalize(sink.events()))
+    };
 
-    let baseline = GaEngine::new(&s, &f)
-        .with_settings(GaSettings { generations: 20, ..Default::default() })
-        .with_supervisor(&sup)
-        .run(0xFEED)
-        .unwrap();
+    let (baseline, baseline_events) = run(1);
     assert!(
         baseline.health.watchdog_fired > 0,
         "a 10% hang rate over 20 generations should fire the watchdog: {:?}",
         baseline.health
     );
     assert!(baseline.health.reconciles(), "hedge identity broken: {:?}", baseline.health);
+    for kind in ["pareto_updated", "watchdog_fired", "eval_attempt_failed", "eval_batch"] {
+        assert!(
+            baseline_events.iter().any(|e| e.kind() == kind),
+            "the supervised stream should carry {kind} events"
+        );
+    }
 
     for workers in [2usize, 8] {
-        let settings = GaSettings { generations: 20, eval_workers: workers, ..Default::default() };
-        let run = GaEngine::new(&s, &f)
-            .with_settings(settings)
-            .with_supervisor(&sup)
-            .run(0xFEED)
-            .unwrap();
+        let (run, events) = run(workers);
         assert_eq!(run, baseline, "supervised run diverged at workers={workers}");
+        assert_eq!(
+            events, baseline_events,
+            "supervised event stream diverged at workers={workers}"
+        );
     }
 }
 

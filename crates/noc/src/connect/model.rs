@@ -9,7 +9,7 @@
 //! wiring; power from switching plus leakage; and peak bisection bandwidth
 //! from the topology's bisection cut.
 
-use nautilus_ga::{GeneRows, Genome, ParamId, ParamSpace, ParamValue};
+use nautilus_ga::{Genome, ParamId, ParamSpace, ParamValue};
 use nautilus_synth::noise::noise_factor_genes;
 use nautilus_synth::{CostModel, MetricCatalog, MetricSet};
 
@@ -196,14 +196,6 @@ impl CostModel for NocModel {
     fn evaluate(&self, g: &Genome) -> Option<MetricSet> {
         self.eval_genes(g.genes())
     }
-
-    fn evaluate_rows(&self, rows: GeneRows<'_>, out: &mut Vec<Option<MetricSet>>) {
-        // Slice-native batch kernel: no scratch genome, no per-point
-        // dispatch.
-        for row in rows.iter() {
-            out.push(self.eval_genes(row));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -237,19 +229,6 @@ mod tests {
         let (_, p_lo) = d.best(&power, Direction::Minimize);
         let (_, p_hi) = d.best(&power, Direction::Maximize);
         assert!(p_hi / p_lo > 30.0, "power spread {p_lo}..{p_hi}");
-    }
-
-    #[test]
-    fn batch_kernel_is_bit_identical_to_per_point_path() {
-        let m = NocModel::new(64);
-        let genomes: Vec<_> =
-            (0..40u128).map(|i| m.space().genome_at(i * 17 % m.space().cardinality())).collect();
-        let flat: Vec<u32> = genomes.iter().flat_map(|g| g.genes().iter().copied()).collect();
-        let mut batch = Vec::new();
-        m.evaluate_rows(GeneRows::new(&flat, m.space().num_params()), &mut batch);
-        for (g, got) in genomes.iter().zip(&batch) {
-            assert_eq!(*got, m.evaluate(g), "batch row diverged for {g:?}");
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! ranges (hundreds to ~25k LUTs, ~60–260 MHz).
 
 use nautilus_ga::rng::{hash_genes, mix_to_signed_unit};
-use nautilus_ga::{GeneRows, Genome, ParamId, ParamSpace, ParamValue};
+use nautilus_ga::{Genome, ParamId, ParamSpace, ParamValue};
 use nautilus_synth::noise::noise_factor_genes;
 use nautilus_synth::{CostModel, MetricCatalog, MetricSet};
 
@@ -114,8 +114,7 @@ impl RouterModel {
     }
 
     /// Slice-native synthesis kernel: the whole model evaluates directly
-    /// over one structure-of-arrays gene row, so the batch entry point
-    /// never rehydrates a [`Genome`] or allocates per point.
+    /// over one gene row.
     fn eval_genes(&self, g: &[u32]) -> Option<MetricSet> {
         let vcs = self.int(g, self.ids.vcs);
         let depth = self.int(g, self.ids.depth);
@@ -236,14 +235,6 @@ impl CostModel for RouterModel {
     fn evaluate(&self, g: &Genome) -> Option<MetricSet> {
         self.eval_genes(g.genes())
     }
-
-    fn evaluate_rows(&self, rows: GeneRows<'_>, out: &mut Vec<Option<MetricSet>>) {
-        // Slice-native batch kernel: one tight loop over the contiguous
-        // row buffer, no scratch genome, no per-point dispatch.
-        for row in rows.iter() {
-            out.push(self.eval_genes(row));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -285,22 +276,6 @@ mod tests {
         let m = RouterModel::swept();
         let g = m.space().genome_at(12_345);
         assert_eq!(m.evaluate(&g), m.evaluate(&g));
-    }
-
-    #[test]
-    fn batch_kernel_is_bit_identical_to_per_point_path() {
-        // Both spaces, including the full space's gene-tail hash noise.
-        for m in [RouterModel::swept(), RouterModel::full()] {
-            let genomes: Vec<_> = (0..40u128)
-                .map(|i| m.space().genome_at(i * 197 % m.space().cardinality()))
-                .collect();
-            let flat: Vec<u32> = genomes.iter().flat_map(|g| g.genes().iter().copied()).collect();
-            let mut batch = Vec::new();
-            m.evaluate_rows(GeneRows::new(&flat, m.space().num_params()), &mut batch);
-            for (g, got) in genomes.iter().zip(&batch) {
-                assert_eq!(*got, m.evaluate(g), "batch row diverged for {g:?}");
-            }
-        }
     }
 
     #[test]

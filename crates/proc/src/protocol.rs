@@ -360,15 +360,13 @@ mod tests {
             v.extend_from_slice(&2u64.to_le_bytes()); // gene count
             v.extend_from_slice(&6u32.to_le_bytes());
             v.extend_from_slice(&7u32.to_le_bytes());
-            let crc = crc32(&v);
-            v.extend_from_slice(&crc.to_le_bytes());
+            v.extend_from_slice(&0x1b9a_1d3cu32.to_le_bytes()); // CRC-32 trailer
             v
         };
         assert_eq!(frame.encode(), expected);
-        // Golden CRC value, hand-pinned so the checksum algorithm itself
-        // cannot drift (poly 0xEDB88320, reflected, inverted).
-        let crc = u32::from_le_bytes(expected[expected.len() - 4..].try_into().unwrap());
-        assert_eq!(crc, crc32(&expected[..expected.len() - 4]));
+        // The literal trailer also pins the checksum algorithm itself
+        // (poly 0xEDB88320, reflected, inverted).
+        assert_eq!(crc32(&expected[..expected.len() - 4]), 0x1b9a_1d3c);
     }
 
     #[test]

@@ -387,8 +387,10 @@ mod tests {
         assert_eq!(&record[8..12], &2u32.to_le_bytes());
         assert_eq!(&record[12..20], &1u64.to_le_bytes());
         assert_eq!(record[20], KIND_PING);
-        let crc = crc32(&record[..21]);
-        assert_eq!(&record[21..], &crc.to_le_bytes());
+        // A literal CRC-32 trailer, so neither the encoder nor the
+        // checksum algorithm can drift unnoticed.
+        assert_eq!(&record[21..], &0x791b_b794u32.to_le_bytes());
+        assert_eq!(crc32(&record[..21]), 0x791b_b794);
         assert_eq!(record.len(), 25);
     }
 

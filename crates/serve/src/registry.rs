@@ -11,7 +11,7 @@ use std::thread;
 use std::time::Duration;
 
 use nautilus::{Confidence, HintSet, Query};
-use nautilus_ga::{GeneRows, Genome, ParamSpace, ParamValue};
+use nautilus_ga::{Genome, ParamSpace, ParamValue};
 use nautilus_noc::hints::fmax_hints;
 use nautilus_noc::router::RouterModel;
 use nautilus_synth::{CostModel, MetricCatalog, MetricExpr, MetricSet};
@@ -305,10 +305,6 @@ impl CostModel for SlowModel {
     fn evaluate(&self, genome: &Genome) -> Option<MetricSet> {
         thread::sleep(self.delay);
         self.inner.evaluate(genome)
-    }
-    fn evaluate_rows(&self, rows: GeneRows<'_>, out: &mut Vec<Option<MetricSet>>) {
-        thread::sleep(self.delay.saturating_mul(rows.len() as u32));
-        self.inner.evaluate_rows(rows, out);
     }
     fn synth_time(&self, genome: &Genome) -> Duration {
         self.inner.synth_time(genome)

@@ -8,8 +8,8 @@
 //! which is what lets the chaos suite assert bit-for-bit determinism
 //! across worker counts.
 //!
-//! [`FaultyEvaluator`] wraps any [`FitnessFn`] (e.g. a `QueryFitness` over
-//! a `SynthJobRunner`, or a dataset-backed evaluator) as a
+//! [`FaultyEvaluator`] wraps any [`FitnessFn`] (e.g. a query objective
+//! over a `SynthJobRunner`, or a dataset-backed evaluator) as a
 //! [`FallibleEvaluator`]: injected transient/timeout/persistent faults
 //! simulate the backend dying *without* invoking it, while injected
 //! corruption runs the backend and then garbles its report.

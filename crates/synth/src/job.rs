@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use nautilus_ga::{GeneRows, Genome};
+use nautilus_ga::Genome;
 use nautilus_obs::{SearchEvent, SearchObserver};
 
 use crate::metric::MetricSet;
@@ -266,105 +266,6 @@ impl<'m> SynthJobRunner<'m> {
         }
         let result = self.model.evaluate(genome);
         self.insert_or_lose(memo, genome, result)
-    }
-
-    /// Evaluates a contiguous batch of gene rows, appending one result per
-    /// row to `out` in row order.
-    ///
-    /// Observable behavior matches calling
-    /// [`evaluate`](SynthJobRunner::evaluate) once per row in order:
-    /// identical results, one `EvalCompleted` event per row in row order,
-    /// and identical final counter totals. The difference is dispatch
-    /// shape: cache misses are deduplicated within the batch, packed into
-    /// one contiguous structure-of-arrays buffer, and characterized by a
-    /// single [`CostModel::evaluate_rows`] kernel call instead of one
-    /// virtual `evaluate` dispatch per point. Within-batch duplicate
-    /// misses resolve as cache hits, exactly as the serial order would
-    /// produce. A memo-less runner hands the whole batch to the kernel and
-    /// charges every row as a new job.
-    pub fn evaluate_rows(&self, rows: GeneRows<'_>, out: &mut Vec<Option<MetricSet>>) {
-        /// How row `i` resolves once the miss kernel has run.
-        enum Slot {
-            /// Found in the memo by the lookup pass.
-            Hit(Option<MetricSet>),
-            /// First occurrence of miss `idx`: inserts the kernel result.
-            MissFirst(usize),
-            /// Later occurrence of a within-batch miss: a hit on whatever
-            /// the first occurrence resolved to.
-            MissDup(usize),
-        }
-
-        let gene_len = rows.gene_len();
-        let Some(memo) = &self.memo else {
-            let first = out.len();
-            self.model.evaluate_rows(rows, out);
-            assert_eq!(
-                out.len() - first,
-                rows.len(),
-                "cost model batch kernel must return one result per row"
-            );
-            let mut scratch = Genome::from_genes(Vec::with_capacity(gene_len));
-            for (row, result) in rows.iter().zip(&out[first..]) {
-                scratch.copy_from_slice(row);
-                self.charge_unmemoized(&scratch, result);
-            }
-            return;
-        };
-        let mut slots: Vec<Slot> = Vec::with_capacity(rows.len());
-        let mut miss_flat: Vec<u32> = Vec::new();
-        let mut miss_genomes: Vec<Genome> = Vec::new();
-        // First-occurrence index of each within-batch miss row; keys
-        // borrow directly from the caller's flat buffer.
-        let mut first_of: HashMap<&[u32], usize> = HashMap::new();
-        {
-            // One lock for the whole lookup pass, probing with the rows
-            // themselves (`Genome: Borrow<[u32]>`).
-            let map = lock(memo);
-            for row in rows.iter() {
-                if let Some(&idx) = first_of.get(row) {
-                    slots.push(Slot::MissDup(idx));
-                } else if let Some(cached) = map.get(row) {
-                    slots.push(Slot::Hit(cached.clone()));
-                } else {
-                    first_of.insert(row, miss_genomes.len());
-                    slots.push(Slot::MissFirst(miss_genomes.len()));
-                    miss_flat.extend_from_slice(row);
-                    miss_genomes.push(Genome::from_genes(row.to_vec()));
-                }
-            }
-        }
-
-        // One kernel call characterizes every distinct miss in the batch.
-        let mut results: Vec<Option<MetricSet>> = Vec::with_capacity(miss_genomes.len());
-        if !miss_genomes.is_empty() {
-            self.model.evaluate_rows(GeneRows::new(&miss_flat, gene_len), &mut results);
-            assert_eq!(
-                results.len(),
-                miss_genomes.len(),
-                "cost model batch kernel must return one result per row"
-            );
-        }
-
-        // Resolve rows in order so events and insert order match the
-        // serial path exactly.
-        for slot in slots {
-            let result = match slot {
-                Slot::Hit(cached) => {
-                    self.hit(&cached);
-                    cached
-                }
-                Slot::MissFirst(idx) => {
-                    let fresh = std::mem::take(&mut results[idx]);
-                    results[idx] = self.insert_or_lose(memo, &miss_genomes[idx], fresh);
-                    results[idx].clone()
-                }
-                Slot::MissDup(idx) => {
-                    self.hit(&results[idx]);
-                    results[idx].clone()
-                }
-            };
-            out.push(result);
-        }
     }
 
     /// Emits one `EvalCompleted` event when the observer is enabled.
@@ -633,84 +534,26 @@ mod tests {
     }
 
     #[test]
-    fn batch_evaluate_rows_matches_serial_results_events_and_counters() {
-        let model = BowlModel::new(0.03).unwrap();
-        // Rows mix fresh misses, an infeasible point, a pre-cached hit and
-        // within-batch duplicates (one duplicated miss, one duplicated hit).
-        let rows: Vec<[u32; 2]> =
-            vec![[1, 2], [7, 0], [1, 2], [3, 11], [5, 5], [3, 11], [2, 2], [1, 2]];
-        let flat: Vec<u32> = rows.iter().flatten().copied().collect();
-
-        let serial_sink = nautilus_obs::InMemorySink::new();
-        let serial = SynthJobRunner::new(&model).with_observer(&serial_sink);
-        serial.evaluate(&Genome::from_genes(vec![9, 9])); // pre-cache a point
-        let serial_out: Vec<Option<MetricSet>> =
-            rows.iter().map(|r| serial.evaluate(&Genome::from_genes(r.to_vec()))).collect();
-
-        let batch_sink = nautilus_obs::InMemorySink::new();
-        let batch = SynthJobRunner::new(&model).with_observer(&batch_sink);
-        batch.evaluate(&Genome::from_genes(vec![9, 9]));
-        let mut batch_out = Vec::new();
-        batch.evaluate_rows(GeneRows::new(&flat, 2), &mut batch_out);
-
-        assert_eq!(batch_out, serial_out, "batch results must match the serial path");
-        assert_eq!(batch.stats(), serial.stats(), "counter totals must match");
-        assert_eq!(batch.cached_points(), serial.cached_points());
-        assert_eq!(
-            batch_sink.events(),
-            serial_sink.events(),
-            "per-row events must match serial order"
-        );
-    }
-
-    #[test]
-    fn batch_miss_kernel_runs_once_per_distinct_miss() {
-        let model = CountingModel::new();
-        let runner = SynthJobRunner::new(&model);
-        // 4 distinct points, each duplicated: only 4 kernel rows evaluate.
-        let flat: Vec<u32> =
-            [[0u32, 0], [1, 1], [0, 0], [2, 2], [1, 1], [3, 0]].iter().flatten().copied().collect();
-        let mut out = Vec::new();
-        runner.evaluate_rows(GeneRows::new(&flat, 2), &mut out);
-        assert_eq!(out.len(), 6);
-        assert_eq!(model.evals.load(Ordering::Relaxed), 4, "duplicates must not re-evaluate");
-        let s = runner.stats();
-        assert_eq!(s.jobs + s.infeasible, 4);
-        assert_eq!(s.cache_hits, 2, "within-batch duplicates resolve as hits");
-        assert_eq!(out[0], out[2], "duplicate rows observe the first row's result");
-    }
-
-    #[test]
     fn memo_less_runner_accounts_like_memo_misses() {
         let model = BowlModel::new(0.03).unwrap();
         // Distinct points only, one of them infeasible: every memo lookup
         // is a miss, which is all a memo-less runner may ever see.
         let rows: Vec<[u32; 2]> = vec![[1, 2], [7, 0], [3, 11], [5, 5], [2, 2]];
-        let flat: Vec<u32> = rows.iter().flatten().copied().collect();
 
         let memo_sink = nautilus_obs::InMemorySink::new();
         let memo = SynthJobRunner::new(&model).with_observer(&memo_sink);
         let memo_out: Vec<Option<MetricSet>> =
             rows.iter().map(|r| memo.evaluate(&Genome::from_genes(r.to_vec()))).collect();
 
-        let serial_sink = nautilus_obs::InMemorySink::new();
-        let serial = SynthJobRunner::without_memo(&model).with_observer(&serial_sink);
-        let serial_out: Vec<Option<MetricSet>> =
-            rows.iter().map(|r| serial.evaluate(&Genome::from_genes(r.to_vec()))).collect();
+        let sink = nautilus_obs::InMemorySink::new();
+        let runner = SynthJobRunner::without_memo(&model).with_observer(&sink);
+        let out: Vec<Option<MetricSet>> =
+            rows.iter().map(|r| runner.evaluate(&Genome::from_genes(r.to_vec()))).collect();
 
-        let batch_sink = nautilus_obs::InMemorySink::new();
-        let batch = SynthJobRunner::without_memo(&model).with_observer(&batch_sink);
-        let mut batch_out = Vec::new();
-        batch.evaluate_rows(GeneRows::new(&flat, 2), &mut batch_out);
-
-        for (out, runner, sink) in
-            [(&serial_out, &serial, &serial_sink), (&batch_out, &batch, &batch_sink)]
-        {
-            assert_eq!(out, &memo_out, "results must match the memo path");
-            assert_eq!(runner.stats(), memo.stats(), "counters must match the memo path");
-            assert_eq!(sink.events(), memo_sink.events(), "events must match the memo path");
-            assert_eq!(runner.cached_points(), 0);
-        }
+        assert_eq!(out, memo_out, "results must match the memo path");
+        assert_eq!(runner.stats(), memo.stats(), "counters must match the memo path");
+        assert_eq!(sink.events(), memo_sink.events(), "events must match the memo path");
+        assert_eq!(runner.cached_points(), 0);
         assert_eq!(memo.stats().jobs, 4);
         assert_eq!(memo.stats().infeasible, 1);
     }
@@ -724,16 +567,6 @@ mod tests {
         let g = Genome::from_genes(vec![2, 3]);
         runner.evaluate(&g);
         runner.evaluate(&g);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "twice")]
-    fn memo_less_batch_rejects_a_repeated_row_in_debug_builds() {
-        let model = BowlModel::new(0.0).unwrap();
-        let runner = SynthJobRunner::without_memo(&model);
-        let mut out = Vec::new();
-        runner.evaluate_rows(GeneRows::new(&[1, 1, 4, 4, 1, 1], 2), &mut out);
     }
 
     /// A [`CostModel`] whose `evaluate` returns only once two callers are

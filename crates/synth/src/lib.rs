@@ -60,7 +60,6 @@ mod dataset;
 mod error;
 mod expr;
 mod faults;
-mod fitness;
 mod job;
 mod metric;
 mod model;
@@ -70,7 +69,6 @@ pub use dataset::{Dataset, DatasetModel, CHARACTERIZE_LIMIT};
 pub use error::{Result, SynthError};
 pub use expr::{ExprDisplay, MetricExpr};
 pub use faults::{FaultPlan, FaultyEvaluator, InjectedFault};
-pub use fitness::QueryFitness;
 pub use job::{JobStats, SynthJobRunner};
 pub use metric::{MetricCatalog, MetricDef, MetricId, MetricSet};
 pub use model::CostModel;

@@ -34,13 +34,10 @@ pub trait CostModel: Send + Sync {
     /// Characterizes a contiguous batch of gene rows, appending one result
     /// per row to `out` in row order.
     ///
-    /// This is the structure-of-arrays entry point the parallel hot path
-    /// uses: a worker hands the model one contiguous slice of design
-    /// points instead of dispatching per genome. The default rehydrates a
-    /// single reused scratch [`Genome`] (no per-row allocation) and calls
-    /// [`CostModel::evaluate`]; slice-native models override this to skip
-    /// the rehydration entirely. Overrides must return bit-identical
-    /// results in row order — cross-worker determinism depends on it.
+    /// No search calls this: every evaluation goes through
+    /// [`CostModel::evaluate`]. It stays only because the benchmark's
+    /// cost-model shims implement it. The default rehydrates a single
+    /// reused scratch [`Genome`] and calls [`CostModel::evaluate`] per row.
     fn evaluate_rows(&self, rows: GeneRows<'_>, out: &mut Vec<Option<MetricSet>>) {
         let mut scratch = Genome::from_genes(Vec::with_capacity(rows.gene_len()));
         for row in rows.iter() {

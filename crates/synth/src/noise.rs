@@ -43,8 +43,8 @@ pub fn noise_factor(genome: &Genome, salt: u64, sigma: f64) -> f64 {
 
 /// Slice-native [`noise_factor`]: identical value for the same genes.
 ///
-/// Batch evaluation kernels work over structure-of-arrays gene rows and
-/// must not rehydrate a [`Genome`] per point just to derive noise.
+/// Slice-native model kernels work over gene rows and derive noise
+/// without a [`Genome`].
 #[must_use]
 pub fn noise_factor_genes(genes: &[u32], salt: u64, sigma: f64) -> f64 {
     (sigma * gauss_from_hash(hash_genes(genes, salt))).exp()

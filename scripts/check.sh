@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline pre-commit gate: replay, tool-farm and daemon-sweep outcome
-# digests, the std-only workspace check, formatting, lints, rustdoc,
-# tests.
+# digests, pinned chaos digests, the std-only workspace check,
+# formatting, lints, rustdoc, tests.
 #
 # Usage: scripts/check.sh [--tsan]
 #
@@ -99,6 +99,26 @@ if ! grep -qxF "$want" <<< "$out"; then
     grep '^digest' <<< "$out" >&2 || true
     exit 1
 fi
+
+echo "==> fault-path digests: chaos and hang storm pinned at 1 worker"
+# Supervised runs take the batched scorer at every worker count, so the
+# 1-vs-{2,8}-worker diffs further down cannot see a change that moves
+# every count alike. These literal checksums (`| cksum`) can.
+cargo build -q --release --offline -p nautilus-bench --bin chaos
+pin_chaos() {
+    local want="$1" got
+    shift
+    got="$(target/release/chaos "$@" | cksum)"
+    if [ "$got" != "$want" ]; then
+        echo "chaos $*: expected cksum '$want', got '$got'" >&2
+        exit 1
+    fi
+}
+pin_chaos "1185772234 1032" --seed 1 --workers 1
+pin_chaos "1434149691 1033" --seed 2 --workers 1
+pin_chaos "4162035310 1033" --seed 3 --workers 1
+pin_chaos "559519685 1060" --storm hang --seed 1 --workers 1
+pin_chaos "2909936146 1061" --storm hang --seed 2 --workers 1
 
 echo "==> std-only workspace: no registry dependencies"
 # Every package cargo resolves must come from this checkout (a null
