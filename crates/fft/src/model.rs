@@ -16,7 +16,7 @@
 //! Figures 6 and 7 report.
 
 use nautilus_ga::{Genome, ParamSpace};
-use nautilus_synth::noise::noise_factor_genes;
+use nautilus_synth::noise::noise_factor;
 use nautilus_synth::{CostModel, MetricCatalog, MetricSet};
 
 use crate::space::{space, FftConfig};
@@ -80,15 +80,8 @@ impl CostModel for FftModel {
         &self.catalog
     }
 
-    fn evaluate(&self, g: &Genome) -> Option<MetricSet> {
-        self.eval_genes(g.genes())
-    }
-}
-
-impl FftModel {
-    /// Slice-native synthesis kernel over one gene row.
-    fn eval_genes(&self, g: &[u32]) -> Option<MetricSet> {
-        let c = FftConfig::decode_genes(&self.space, g);
+    fn evaluate(&self, genome: &Genome) -> Option<MetricSet> {
+        let c = FftConfig::decode(&self.space, genome);
         if !c.is_feasible() {
             return None;
         }
@@ -153,13 +146,13 @@ impl FftModel {
                 1 => 0.0,
                 _ => 0.50 + 0.10 * n, // giant fanout
             };
-        delay_ns *= noise_factor_genes(g, SALT_FMAX, 0.04);
+        delay_ns *= noise_factor(genome, SALT_FMAX, 0.04);
         let fmax = (1000.0 / delay_ns).clamp(80.0, 500.0);
 
         // ---- Derived metrics ---------------------------------------------------
-        luts = (luts * noise_factor_genes(g, SALT_LUTS, 0.05)).round().max(1.0);
+        luts = (luts * noise_factor(genome, SALT_LUTS, 0.05)).round().max(1.0);
         let throughput = fmax * samples_per_cycle; // MSPS
-        let snr = (6.02 * b.min(t + 2.0) + 1.76 - 1.4 * n) * noise_factor_genes(g, SALT_SNR, 0.02);
+        let snr = (6.02 * b.min(t + 2.0) + 1.76 - 1.4 * n) * noise_factor(genome, SALT_SNR, 0.02);
 
         Some(
             self.catalog

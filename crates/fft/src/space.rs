@@ -60,17 +60,7 @@ impl FftConfig {
     /// Panics if the genome does not belong to the FFT space.
     #[must_use]
     pub fn decode(space: &ParamSpace, genome: &Genome) -> FftConfig {
-        Self::decode_genes(space, genome.genes())
-    }
-
-    /// Slice-native [`FftConfig::decode`] over a structure-of-arrays gene
-    /// row; identical to decoding the equivalent [`Genome`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row does not belong to the FFT space.
-    #[must_use]
-    pub fn decode_genes(space: &ParamSpace, genes: &[u32]) -> FftConfig {
+        let genes = genome.genes();
         let int = |name: &str| -> i64 {
             let id = space.id(name).expect("fft param");
             match space.param(id).domain().value(genes[id.index()] as usize) {

@@ -52,9 +52,10 @@ pub struct GaSettings {
     ///
     /// `1` (the default) keeps the original inline serial path. `0`
     /// derives the count from [`std::thread::available_parallelism`]. Any
-    /// other value spreads each generation's distinct cache misses over
-    /// that many workers: the merge thread plus `workers - 1` persistent
-    /// pool helpers that stay parked between generations. Every setting
+    /// other value spreads each generation's distinct cache misses, and
+    /// the initial population's in rounds, over that many workers: the
+    /// merge thread plus `workers - 1` persistent pool helpers that stay
+    /// parked between batches. Every setting
     /// produces bit-for-bit identical runs per seed: the RNG is never
     /// touched during evaluation and results are merged back into the
     /// cache in deterministic first-occurrence order.
@@ -303,9 +304,11 @@ impl<'a> GaEngine<'a> {
     /// circuit breaker) at every `eval_workers` setting, and the breaker
     /// state rides every checkpoint under the [`AUX_BREAKER`] aux key.
     ///
-    /// The initial population still uses the serial fallible path (if a
-    /// fallible evaluator is installed) or the plain fitness function —
-    /// supervision is a property of the batched generational loop.
+    /// The initial population stays unsupervised — supervision is a
+    /// property of the generational loop. It is scored through the
+    /// fallible evaluator (if one is installed) or the plain fitness
+    /// function, serially at one worker and in batched rounds at two or
+    /// more.
     #[must_use]
     pub fn with_supervisor(mut self, supervisor: &'a Supervisor<'a>) -> Self {
         self.supervisor = Some(supervisor);
@@ -535,12 +538,37 @@ impl<'a> GaEngine<'a> {
                         }
                         break;
                     }
-                    attempts += 1;
-                    let g = self.space.random_genome(&mut rng);
-                    let feasible =
-                        self.eval_into_cache(&mut cache, &g, &mut faults, &mut rec).is_some();
-                    if feasible {
-                        init_pop.push(g);
+                    if workers <= 1 {
+                        attempts += 1;
+                        let g = self.space.random_genome(&mut rng);
+                        if self.eval_into_cache(&mut cache, &g, &mut faults, &mut rec).is_some() {
+                            init_pop.push(g);
+                        }
+                    } else {
+                        // A round of draws the serial loop makes too: a
+                        // draw adds at most one feasible genome, so it
+                        // would keep drawing through the whole round. The
+                        // RNG stream, evaluation order and counters stay
+                        // the serial loop's; the round is unsupervised.
+                        let round_len = (self.settings.population - init_pop.len())
+                            .min(max_attempts - attempts);
+                        attempts += round_len;
+                        let round: Vec<Genome> =
+                            (0..round_len).map(|_| self.space.random_genome(&mut rng)).collect();
+                        let rows = PopArena::from_genomes(&round);
+                        let misses = self.collect_misses(&rows, &mut cache, None, &mut rec);
+                        let raws = self.score_batched(
+                            &rows,
+                            misses,
+                            &mut cache,
+                            &mut faults,
+                            workers,
+                            None,
+                            &pool,
+                            &mut rec,
+                        );
+                        let feasible = round.into_iter().zip(raws).filter(|(_, raw)| raw.is_some());
+                        init_pop.extend(feasible.map(|(g, _)| g));
                     }
                 }
                 if let (Some(r), Some(start)) = (rec.as_mut(), init_start) {
@@ -577,22 +605,40 @@ impl<'a> GaEngine<'a> {
                 // Supervision always takes the batched path: watchdog,
                 // hedging and breaker decisions live in the merge loop,
                 // which is identical at every worker count.
-                let supervision = self.supervisor.map(|sup| {
+                let mut supervision = self.supervisor.map(|sup| {
                     let session = session
                         .as_mut()
                         .expect("session exists whenever a supervisor is installed");
                     (sup, session)
                 });
-                self.score_batched(
+                let admission = supervision.as_mut().map(|(_, session)| &mut **session);
+                let misses = self.collect_misses(&population, &mut cache, admission, &mut rec);
+                if obs.enabled() {
+                    let size = misses.admitted.len();
+                    obs.on_event(&SearchEvent::EvalBatch {
+                        generation,
+                        size,
+                        workers: workers.min(size.max(1)),
+                    });
+                }
+                let raws = self.score_batched(
                     &population,
+                    misses,
                     &mut cache,
                     &mut faults,
                     workers,
-                    generation,
                     supervision,
                     &pool,
                     &mut rec,
-                )
+                );
+                population
+                    .rows()
+                    .zip(raws)
+                    .map(|(row, raw)| ScoredGenome {
+                        genome: Genome::from_genes(row.to_vec()),
+                        score: raw.map_or(f64::NEG_INFINITY, |v| direction.to_score(v)),
+                    })
+                    .collect()
             };
             // Best-first, deterministic tie-break on the genome itself.
             scored.sort_by(|a, b| {
@@ -789,10 +835,10 @@ impl<'a> GaEngine<'a> {
 
     /// Evaluates `genome` into the cache, charging a hit when memoized.
     ///
-    /// This is the single evaluation funnel for the serial paths (initial
-    /// population and serial scoring): without a fallible evaluator it is
-    /// counter-identical to `EvalCache::get_or_eval`; with one it runs the
-    /// retry loop and quarantines on exhaustion.
+    /// This is the single evaluation funnel for the one-worker serial
+    /// paths (initial population and scoring): without a fallible
+    /// evaluator it is counter-identical to `EvalCache::get_or_eval`; with
+    /// one it runs the retry loop and quarantines on exhaustion.
     fn eval_into_cache(
         &self,
         cache: &mut EvalCache,
@@ -811,8 +857,11 @@ impl<'a> GaEngine<'a> {
                 value
             }
             Some(eval) => {
+                // The lane is the run's evaluation ordinal: this miss is
+                // the cache's next entry.
+                let lane = Some(cache.len() as u64);
                 let record = timed(rec, Phase::MissEval, || {
-                    evaluate_with_retries(eval, genome, &self.retry)
+                    evaluate_with_retries(eval, genome, &self.retry, lane)
                 });
                 self.note_record(&record, faults);
                 match record.value {
@@ -869,19 +918,57 @@ impl<'a> GaEngine<'a> {
         }
     }
 
-    /// Scores one generation by evaluating its distinct cache misses as
-    /// one batch on the persistent [`EvalPool`]: every generation of a
-    /// multi-worker run, and every generation of a supervised run at any
-    /// worker count.
+    /// Collects a batch's distinct cache misses in first-occurrence
+    /// population order, the exact order the serial path would evaluate
+    /// them. Under supervision, breaker admission is then frozen in that
+    /// order before anything runs: shed misses are quarantined on the
+    /// spot (degraded cache-only mode costs no retry budget), and a trip
+    /// during the merge affects the next batch, never this one.
+    fn collect_misses<'p>(
+        &self,
+        population: &'p PopArena,
+        cache: &mut EvalCache,
+        admission: Option<&mut SuperviseSession>,
+        rec: &mut Option<SpanRecorder<'_>>,
+    ) -> MissBatch<'p> {
+        let mut distinct: HashSet<&[u32]> = HashSet::new();
+        let mut admitted: Vec<(&[u32], bool)> = Vec::new();
+        timed(rec, Phase::CacheLookup, || {
+            for row in population.rows() {
+                if cache.peek(row).is_none() && distinct.insert(row) {
+                    admitted.push((row, false));
+                }
+            }
+        });
+        if let Some(session) = admission {
+            let obs = self.observer;
+            session.begin_batch();
+            admitted.retain_mut(|(row, probe)| match session.admit(obs) {
+                Admission::Shed => {
+                    cache.insert_quarantined(row);
+                    false
+                }
+                Admission::Evaluate => true,
+                Admission::Probe => {
+                    *probe = true;
+                    true
+                }
+            });
+        }
+        MissBatch { distinct, admitted }
+    }
+
+    /// Evaluates a batch's admitted cache misses on the persistent
+    /// [`EvalPool`] and returns every population member's raw value in
+    /// row order: each generation of a multi-worker run, each generation
+    /// of a supervised run at any worker count, and each initial
+    /// population round of a multi-worker run.
     ///
     /// Equivalence with the serial path is by construction:
     ///
-    /// 1. Misses are collected in first-occurrence population order, the
-    ///    exact order the serial path would have evaluated them. Under
-    ///    supervision, breaker admission is then frozen in that order
-    ///    before anything runs: shed misses are quarantined on the spot
-    ///    (degraded cache-only mode costs no retry budget), and a trip
-    ///    during the merge affects the next batch, never this one.
+    /// 1. [`GaEngine::collect_misses`] lists the misses in the serial
+    ///    path's evaluation order. An unsupervised miss `i` carries lane
+    ///    `cache.len() + i`, the lane the serial path gives it.
     /// 2. Workers pull miss indices from one atomic cursor and take one
     ///    step per miss: the plain fitness function, the fallible
     ///    evaluator's retry loop, or the supervisor's attempt
@@ -901,50 +988,17 @@ impl<'a> GaEngine<'a> {
     fn score_batched(
         &self,
         population: &PopArena,
+        misses: MissBatch<'_>,
         cache: &mut EvalCache,
         faults: &mut FaultStats,
         workers: usize,
-        generation: u32,
         mut supervision: Option<(&Supervisor<'_>, &mut SuperviseSession)>,
         pool: &EvalPool,
         rec: &mut Option<SpanRecorder<'_>>,
-    ) -> Vec<ScoredGenome> {
-        let direction = self.fitness.direction();
+    ) -> Vec<Option<f64>> {
         let obs = self.observer;
-        let mut queued: HashSet<&[u32]> = HashSet::new();
-        // `(genes, probe)` per miss; only admission marks a breaker probe.
-        let mut misses: Vec<(&[u32], bool)> = Vec::new();
-        timed(rec, Phase::CacheLookup, || {
-            for row in population.rows() {
-                if cache.peek(row).is_none() && queued.insert(row) {
-                    misses.push((row, false));
-                }
-            }
-        });
-        if let Some((_, session)) = supervision.as_mut() {
-            session.begin_batch();
-            misses.retain_mut(|(row, probe)| match session.admit(obs) {
-                Admission::Shed => {
-                    cache.insert_quarantined(row);
-                    false
-                }
-                Admission::Evaluate => true,
-                Admission::Probe => {
-                    *probe = true;
-                    true
-                }
-            });
-        }
-        let n = misses.len();
-
-        if obs.enabled() {
-            obs.on_event(&SearchEvent::EvalBatch {
-                generation,
-                size: n,
-                workers: workers.min(n.max(1)),
-            });
-        }
-
+        let MissBatch { distinct, admitted } = misses;
+        let n = admitted.len();
         if n > 0 {
             let supervisor = supervision.as_ref().map(|&(sup, _)| sup);
             let fitness = self.fitness;
@@ -953,7 +1007,8 @@ impl<'a> GaEngine<'a> {
             let tracer = self.tracer;
             let capture = obs.enabled();
             let gene_len = population.gene_len();
-            let misses = &misses;
+            let first_lane = cache.len() as u64;
+            let admitted = &admitted;
             let cursor = AtomicUsize::new(0);
             let results: Mutex<Vec<(usize, MissStep, Vec<SearchEvent>)>> = Mutex::new(Vec::new());
             // Every worker (the merge thread runs slot 0 itself) drains
@@ -967,11 +1022,12 @@ impl<'a> GaEngine<'a> {
                     if i >= n {
                         break;
                     }
-                    scratch.copy_from_slice(misses[i].0);
+                    scratch.copy_from_slice(admitted[i].0);
                     let step = || match (supervisor, fallible) {
                         (Some(sup), _) => MissStep::Precomputed(sup.precompute(&retry, &scratch)),
                         (None, Some(eval)) => {
-                            MissStep::Done(evaluate_with_retries(eval, &scratch, &retry))
+                            let lane = Some(first_lane + i as u64);
+                            MissStep::Done(evaluate_with_retries(eval, &scratch, &retry, lane))
                         }
                         (None, None) => {
                             MissStep::Done(EvalRecord::evaluated(fitness.fitness(&scratch)))
@@ -1016,7 +1072,7 @@ impl<'a> GaEngine<'a> {
                     }
                 }
                 let mut scratch = Genome::from_genes(Vec::with_capacity(gene_len));
-                for (&(row, probe), (_, step, events)) in misses.iter().zip(results) {
+                for (&(row, probe), (_, step, events)) in admitted.iter().zip(results) {
                     let record = match step {
                         MissStep::Done(record) => {
                             replay(&events);
@@ -1045,23 +1101,31 @@ impl<'a> GaEngine<'a> {
             });
         }
 
-        // `queued` doubles as the not-yet-charged first-occurrence set.
-        let mut fresh = queued;
+        // `distinct` doubles as the not-yet-charged first-occurrence set.
+        let mut fresh = distinct;
         timed(rec, Phase::CacheLookup, || {
             population
                 .rows()
                 .map(|row| {
-                    let raw = if fresh.remove(row) {
+                    if fresh.remove(row) {
                         cache.peek(row).expect("batch resolved this genome")
                     } else {
                         cache.lookup(row).expect("population member must be cached by now")
-                    };
-                    let score = raw.map_or(f64::NEG_INFINITY, |v| direction.to_score(v));
-                    ScoredGenome { genome: Genome::from_genes(row.to_vec()), score }
+                    }
                 })
                 .collect()
         })
     }
+}
+
+/// A batch's distinct cache misses, from [`GaEngine::collect_misses`].
+struct MissBatch<'p> {
+    /// Every distinct miss, shed ones included: the scoring pass charges
+    /// none of them a cache hit.
+    distinct: HashSet<&'p [u32]>,
+    /// The misses to evaluate in first-occurrence order, each flagged
+    /// when breaker admission made it a probe.
+    admitted: Vec<(&'p [u32], bool)>,
 }
 
 /// What a pool worker computed for one cache miss.
@@ -1121,6 +1185,23 @@ mod tests {
         FnFitness::new(Direction::Minimize, |g: &Genome| {
             Some(g.genes().iter().map(|&v| f64::from(v) * f64::from(v)).sum())
         })
+    }
+
+    /// Drops `EvalBatch` markers and zeroes wall-clock payloads (span
+    /// durations, run wall time), which legitimately differ between runs;
+    /// everything else must be byte-identical.
+    fn normalize(events: Vec<SearchEvent>) -> Vec<SearchEvent> {
+        events
+            .into_iter()
+            .filter(|e| !matches!(e, SearchEvent::EvalBatch { .. }))
+            .map(|e| match e {
+                SearchEvent::SpanEnd { name, .. } => SearchEvent::SpanEnd { name, nanos: 0 },
+                SearchEvent::RunEnd { best_value, distinct_evals, .. } => {
+                    SearchEvent::RunEnd { best_value, distinct_evals, wall_nanos: 0 }
+                }
+                other => other,
+            })
+            .collect()
     }
 
     #[test]
@@ -1448,22 +1529,6 @@ mod tests {
             (run.history, sink.events())
         }
 
-        // Wall-clock payloads (span durations, run wall time) legitimately
-        // differ between runs; everything else must be byte-identical.
-        fn normalize(events: Vec<E>) -> Vec<E> {
-            events
-                .into_iter()
-                .filter(|e| !matches!(e, E::EvalBatch { .. }))
-                .map(|e| match e {
-                    E::SpanEnd { name, .. } => E::SpanEnd { name, nanos: 0 },
-                    E::RunEnd { best_value, distinct_evals, .. } => {
-                        E::RunEnd { best_value, distinct_evals, wall_nanos: 0 }
-                    }
-                    other => other,
-                })
-                .collect()
-        }
-
         let (serial_history, serial_events) = run(1);
         assert!(
             serial_events.iter().any(|e| matches!(e, E::ParetoUpdated { .. })),
@@ -1519,20 +1584,6 @@ mod tests {
             (run, sink.events())
         }
 
-        fn normalize(events: Vec<E>) -> Vec<E> {
-            events
-                .into_iter()
-                .filter(|e| !matches!(e, E::EvalBatch { .. }))
-                .map(|e| match e {
-                    E::SpanEnd { name, .. } => E::SpanEnd { name, nanos: 0 },
-                    E::RunEnd { best_value, distinct_evals, .. } => {
-                        E::RunEnd { best_value, distinct_evals, wall_nanos: 0 }
-                    }
-                    other => other,
-                })
-                .collect()
-        }
-
         let (base, base_events) = run(1);
         let base_events = normalize(base_events);
         for workers in [2, 8] {
@@ -1546,6 +1597,73 @@ mod tests {
                 normalize(events),
                 base_events,
                 "event stream diverged at workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_init_rounds_replay_the_serial_init() {
+        use crate::fallible::{EvalFailure, FnFallible};
+        use nautilus_obs::{InMemorySink, SearchEvent as E};
+
+        // One genome in 8 is feasible, so ten slots at two draws each
+        // find only a few: the partial-fill branch runs, and on seed 1 the
+        // attempt cap cuts the last round short. Some first attempts fail
+        // transiently (and recover), some genomes are rejected
+        // persistently (and quarantined).
+        fn value(g: &Genome) -> Option<f64> {
+            let sum: u32 = g.genes().iter().sum();
+            sum.is_multiple_of(8).then(|| f64::from(sum))
+        }
+        fn run(workers: usize, feasible: bool) -> (Result<GaRun>, Vec<E>) {
+            let s = space();
+            let f = FnFitness::new(Direction::Minimize, value);
+            let eval = FnFallible::new(|g: &Genome, attempt: u32| match g.stable_hash(0) % 8 {
+                0 if attempt == 1 => Err(EvalFailure::Transient("flaky".into())),
+                1 => Err(EvalFailure::Persistent("rejected".into())),
+                _ => Ok(if feasible { value(g) } else { None }),
+            });
+            let sink = InMemorySink::new();
+            let settings = GaSettings {
+                generations: 6,
+                init_retries: 2,
+                eval_workers: workers,
+                ..GaSettings::default()
+            };
+            let run = GaEngine::new(&s, &f)
+                .with_settings(settings)
+                .with_fallible_evaluator(&eval)
+                .with_observer(&sink)
+                .run(1);
+            (run, sink.events())
+        }
+        let (serial, serial_events) = run(1, true);
+        let serial = serial.unwrap();
+        assert!(serial.history[0].distinct_evals < 10, "init must end in a partial fill");
+        assert!(serial.faults.retries_recovered > 0 && serial.faults.quarantined > 0);
+        for workers in [2, 8] {
+            let (batched, events) = run(workers, true);
+            assert_eq!(batched.unwrap(), serial, "run diverged at workers={workers}");
+            assert_eq!(
+                normalize(events.clone()),
+                normalize(serial_events.clone()),
+                "event stream diverged at workers={workers}"
+            );
+            // Init rounds emit no batch event: the first one belongs to
+            // generation 0 and follows its start.
+            let first_batch = events.iter().position(|e| matches!(e, E::EvalBatch { .. }));
+            let gen0 =
+                events.iter().position(|e| matches!(e, E::GenerationStart { generation: 0 }));
+            assert!(first_batch > gen0, "an EvalBatch preceded generation 0 at workers={workers}");
+            assert!(matches!(events[first_batch.unwrap()], E::EvalBatch { generation: 0, .. }));
+        }
+
+        for workers in [1, 2, 8] {
+            let (err, _) = run(workers, false);
+            assert_eq!(
+                err.unwrap_err(),
+                GaError::NoFeasibleGenome { attempts: 20 },
+                "all-infeasible init at workers={workers}"
             );
         }
     }

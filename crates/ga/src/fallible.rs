@@ -199,16 +199,30 @@ pub fn retry_backoff(policy: &RetryPolicy, genome: &Genome, attempt: u32) -> u64
 /// `Err` a failed attempt the engine may retry. The 1-based `attempt`
 /// number lets deterministic fault injectors decide per-attempt outcomes
 /// independent of scheduling.
+///
+/// `lane` is the evaluation's run-wide ordinal: the engine numbers a
+/// run's distinct evaluations in the order its serial loop meets them
+/// (the cache's size at the miss), so a genome carries the same lane at
+/// every worker count and across a resume. Every attempt of one
+/// evaluation carries the same lane. An evaluator that spreads work over
+/// several backends may place attempts by it; results must not depend on
+/// it. Attempts made outside the engine's numbering carry `None`.
 pub trait FallibleEvaluator: Send + Sync {
     /// Evaluates `genome`, or reports why this attempt failed.
     ///
     /// # Errors
     ///
     /// Returns an [`EvalFailure`] describing the failed attempt.
-    fn try_fitness(&self, genome: &Genome, attempt: u32) -> Result<Option<f64>, EvalFailure>;
+    fn try_fitness(
+        &self,
+        genome: &Genome,
+        attempt: u32,
+        lane: Option<u64>,
+    ) -> Result<Option<f64>, EvalFailure>;
 }
 
-/// Adapts a closure into a [`FallibleEvaluator`] (handy in tests).
+/// Adapts a closure into a [`FallibleEvaluator`] (handy in tests). The
+/// closure sees the genome and attempt; the lane is ignored.
 pub struct FnFallible<F> {
     f: F,
 }
@@ -227,7 +241,12 @@ impl<F> FallibleEvaluator for FnFallible<F>
 where
     F: Fn(&Genome, u32) -> Result<Option<f64>, EvalFailure> + Send + Sync,
 {
-    fn try_fitness(&self, genome: &Genome, attempt: u32) -> Result<Option<f64>, EvalFailure> {
+    fn try_fitness(
+        &self,
+        genome: &Genome,
+        attempt: u32,
+        _lane: Option<u64>,
+    ) -> Result<Option<f64>, EvalFailure> {
         (self.f)(genome, attempt)
     }
 }
@@ -265,7 +284,8 @@ impl EvalRecord {
     }
 }
 
-/// Runs the retry loop for one genome.
+/// Runs the retry loop for one genome, passing `lane` (see
+/// [`FallibleEvaluator`]) to every attempt.
 ///
 /// Semantics, in order:
 ///
@@ -284,13 +304,14 @@ pub fn evaluate_with_retries(
     eval: &dyn FallibleEvaluator,
     genome: &Genome,
     policy: &RetryPolicy,
+    lane: Option<u64>,
 ) -> EvalRecord {
     let max_attempts = policy.max_attempts.max(1);
     let genome_hash = genome.stable_hash(JITTER_SALT);
     let mut failures = Vec::new();
     let mut backoffs_nanos = Vec::new();
     for attempt in 1..=max_attempts {
-        let mut result = eval.try_fitness(genome, attempt);
+        let mut result = eval.try_fitness(genome, attempt, lane);
         if let Ok(Some(v)) = result {
             if !v.is_finite() {
                 result = Err(EvalFailure::Corrupted(format!("non-finite fitness {v}")));
@@ -494,7 +515,7 @@ mod tests {
                 Ok(Some(7.0))
             }
         });
-        let record = evaluate_with_retries(&eval, &g(1), &RetryPolicy::default());
+        let record = evaluate_with_retries(&eval, &g(1), &RetryPolicy::default(), None);
         assert_eq!(record.value, Some(Some(7.0)));
         assert_eq!(record.failures.len(), 2);
         assert_eq!(record.backoffs_nanos.len(), 2);
@@ -505,7 +526,7 @@ mod tests {
     #[test]
     fn exhausted_retries_quarantine() {
         let eval = FnFallible::new(|_: &Genome, _| Err(EvalFailure::Transient("down".into())));
-        let record = evaluate_with_retries(&eval, &g(2), &RetryPolicy::default());
+        let record = evaluate_with_retries(&eval, &g(2), &RetryPolicy::default(), None);
         assert!(record.is_quarantined());
         assert_eq!(record.failures.len(), 3, "one failure per attempt");
         assert_eq!(record.backoffs_nanos.len(), 2, "no backoff after the final attempt");
@@ -518,7 +539,7 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             Err(EvalFailure::Persistent("rejected".into()))
         });
-        let record = evaluate_with_retries(&eval, &g(3), &RetryPolicy::default());
+        let record = evaluate_with_retries(&eval, &g(3), &RetryPolicy::default(), None);
         assert!(record.is_quarantined());
         assert_eq!(calls.load(Ordering::Relaxed), 1, "persistent failures must not retry");
         assert!(record.backoffs_nanos.is_empty());
@@ -527,7 +548,7 @@ mod tests {
     #[test]
     fn non_finite_success_is_corrupted_and_quarantines() {
         let eval = FnFallible::new(|_: &Genome, _| Ok(Some(f64::NAN)));
-        let record = evaluate_with_retries(&eval, &g(4), &RetryPolicy::default());
+        let record = evaluate_with_retries(&eval, &g(4), &RetryPolicy::default(), None);
         assert!(record.is_quarantined());
         assert_eq!(record.failures.len(), 1);
         assert_eq!(record.failures[0].kind(), FailureKind::Corrupted);
@@ -536,7 +557,7 @@ mod tests {
     #[test]
     fn infeasible_is_a_success_not_a_failure() {
         let eval = FnFallible::new(|_: &Genome, _| Ok(None));
-        let record = evaluate_with_retries(&eval, &g(5), &RetryPolicy::default());
+        let record = evaluate_with_retries(&eval, &g(5), &RetryPolicy::default(), None);
         assert_eq!(record.value, Some(None));
         assert!(record.failures.is_empty());
     }

@@ -91,7 +91,7 @@ impl std::fmt::Debug for NeverHangs<'_> {
 
 impl SupervisableEvaluator for NeverHangs<'_> {
     fn attempt(&self, genome: &Genome, attempt: u32) -> AttemptOutcome {
-        AttemptOutcome::Finished { result: self.0.try_fitness(genome, attempt), cost_ms: 0 }
+        AttemptOutcome::Finished { result: self.0.try_fitness(genome, attempt, None), cost_ms: 0 }
     }
 }
 

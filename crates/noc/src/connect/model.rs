@@ -10,7 +10,7 @@
 //! from the topology's bisection cut.
 
 use nautilus_ga::{Genome, ParamId, ParamSpace, ParamValue};
-use nautilus_synth::noise::noise_factor_genes;
+use nautilus_synth::noise::noise_factor;
 use nautilus_synth::{CostModel, MetricCatalog, MetricSet};
 
 use super::topology::Topology;
@@ -119,9 +119,23 @@ impl NocModel {
             other => panic!("expected integer parameter, got {other}"),
         }
     }
+}
 
-    /// Slice-native characterization kernel over one gene row.
-    fn eval_genes(&self, g: &[u32]) -> Option<MetricSet> {
+impl CostModel for NocModel {
+    fn name(&self) -> &str {
+        "connect-noc"
+    }
+
+    fn space(&self) -> &ParamSpace {
+        &self.space
+    }
+
+    fn catalog(&self) -> &MetricCatalog {
+        &self.catalog
+    }
+
+    fn evaluate(&self, genome: &Genome) -> Option<MetricSet> {
+        let g = genome.genes();
         let topo = Topology::ALL[g[self.topo.index()] as usize];
         let s = topo.structure(self.endpoints);
         let vcs = self.int(g, self.vcs);
@@ -137,7 +151,7 @@ impl NocModel {
                 + 0.012 * (radix - 3.0)
                 + 0.04 * (vcs / 2.0).log2()
                 + if wavefront { 0.08 } else { 0.0 });
-        fclk *= noise_factor_genes(g, SALT_FCLK, 0.04);
+        fclk *= noise_factor(genome, SALT_FCLK, 0.04);
 
         // ---- Area (mm²) -----------------------------------------------------
         // Per-router logic gates: crossbar + allocators + control.
@@ -159,7 +173,7 @@ impl NocModel {
         let wire_mm2 = s.channels as f64 * width * link_mm * tech::WIRE_BIT_MM2_PER_MM;
         let logic_mm2 = s.routers as f64 * logic_mm2_per_router;
         let sram_mm2 = s.routers as f64 * sram_mm2_per_router;
-        let area = (logic_mm2 + sram_mm2 + wire_mm2) * noise_factor_genes(g, SALT_AREA, 0.05);
+        let area = (logic_mm2 + sram_mm2 + wire_mm2) * noise_factor(genome, SALT_AREA, 0.05);
 
         // ---- Power (mW) -------------------------------------------------------
         let dyn_logic = logic_mm2 * fclk * tech::DYN_MW_PER_MM2_GHZ;
@@ -167,7 +181,7 @@ impl NocModel {
         let dyn_chan = s.channels as f64 * width * fclk * tech::CHAN_MW_PER_BIT_GHZ;
         let leakage = area * tech::LEAK_MW_PER_MM2;
         let power =
-            (dyn_logic + dyn_sram + dyn_chan + leakage) * noise_factor_genes(g, SALT_POWER, 0.05);
+            (dyn_logic + dyn_sram + dyn_chan + leakage) * noise_factor(genome, SALT_POWER, 0.05);
 
         // ---- Peak bisection bandwidth (Gbps) ---------------------------------
         let bisection = s.bisection_channels as f64 * width * fclk;
@@ -177,24 +191,6 @@ impl NocModel {
                 .set(vec![area, power, bisection, fclk * 1000.0, s.avg_hops])
                 .expect("arity matches catalog"),
         )
-    }
-}
-
-impl CostModel for NocModel {
-    fn name(&self) -> &str {
-        "connect-noc"
-    }
-
-    fn space(&self) -> &ParamSpace {
-        &self.space
-    }
-
-    fn catalog(&self) -> &MetricCatalog {
-        &self.catalog
-    }
-
-    fn evaluate(&self, g: &Genome) -> Option<MetricSet> {
-        self.eval_genes(g.genes())
     }
 }
 

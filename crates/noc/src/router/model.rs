@@ -10,7 +10,7 @@
 
 use nautilus_ga::rng::{hash_genes, mix_to_signed_unit};
 use nautilus_ga::{Genome, ParamId, ParamSpace, ParamValue};
-use nautilus_synth::noise::noise_factor_genes;
+use nautilus_synth::noise::noise_factor;
 use nautilus_synth::{CostModel, MetricCatalog, MetricSet};
 
 use super::space::{full_space, swept_space};
@@ -112,10 +112,23 @@ impl RouterModel {
     fn flag(&self, genes: &[u32], id: ParamId) -> bool {
         genes[id.index()] == 1
     }
+}
 
-    /// Slice-native synthesis kernel: the whole model evaluates directly
-    /// over one gene row.
-    fn eval_genes(&self, g: &[u32]) -> Option<MetricSet> {
+impl CostModel for RouterModel {
+    fn name(&self) -> &str {
+        "vc-router"
+    }
+
+    fn space(&self) -> &ParamSpace {
+        &self.space
+    }
+
+    fn catalog(&self) -> &MetricCatalog {
+        &self.catalog
+    }
+
+    fn evaluate(&self, genome: &Genome) -> Option<MetricSet> {
+        let g = genome.genes();
         let vcs = self.int(g, self.ids.vcs);
         let depth = self.int(g, self.ids.depth);
         let width = self.int(g, self.ids.width);
@@ -212,28 +225,10 @@ impl RouterModel {
         let d_stage = d_logic / stages.powf(0.8) + reg_overhead;
 
         // ---- Synthesis noise ------------------------------------------------
-        luts *= noise_factor_genes(g, SALT_LUTS, 0.06);
-        let fmax = (1000.0 / d_stage * noise_factor_genes(g, SALT_FMAX, 0.05)).max(55.0);
+        luts *= noise_factor(genome, SALT_LUTS, 0.06);
+        let fmax = (1000.0 / d_stage * noise_factor(genome, SALT_FMAX, 0.05)).max(55.0);
 
         Some(self.catalog.set(vec![luts.round(), fmax, latency]).expect("arity matches catalog"))
-    }
-}
-
-impl CostModel for RouterModel {
-    fn name(&self) -> &str {
-        "vc-router"
-    }
-
-    fn space(&self) -> &ParamSpace {
-        &self.space
-    }
-
-    fn catalog(&self) -> &MetricCatalog {
-        &self.catalog
-    }
-
-    fn evaluate(&self, g: &Genome) -> Option<MetricSet> {
-        self.eval_genes(g.genes())
     }
 }
 

@@ -1,8 +1,8 @@
 //! The parent side: a pooled subprocess evaluator.
 //!
 //! [`SubprocessEvaluator`] keeps N warm child processes (spawned from a
-//! [`SubprocessConfig`]), routes every genome to a deterministic slot
-//! (`stable_hash % pool`), and speaks the [`crate::protocol`] framing
+//! [`SubprocessConfig`]), routes every request to a deterministic slot
+//! (see [Routing](#routing)), and speaks the [`crate::protocol`] framing
 //! over each child's stdin/stdout. It implements both engine
 //! boundaries — `FallibleEvaluator` for retry/quarantine runs and
 //! `SupervisableEvaluator` for watchdog/hedging runs — mapping child
@@ -25,6 +25,17 @@
 //! rather than the sum of them. Dropping the evaluator likewise asks
 //! every child to shut down first, then reaps each one as soon as its
 //! stdout closes, all under one shared grace period.
+//!
+//! ## Routing
+//!
+//! The first attempt of an evaluation the engine numbered goes to slot
+//! `lane % pool`. Lanes are the run's evaluation ordinals, so a batch's
+//! misses are dealt round-robin over the children and no child waits on
+//! a busy sibling while another idles. Everything else (retries, and
+//! every supervised attempt, which carries no lane) goes to slot
+//! `stable_hash(ROUTE_SALT) % pool`. Both keys are functions of the run
+//! alone, so each child's request set is the same at every engine worker
+//! count and across a checkpoint resume.
 //!
 //! ## Determinism and the stash
 //!
@@ -55,8 +66,10 @@ use crate::protocol::{
     Frame, ProtoError, WireOutcome, WIRE_FAULT_PERSISTENT, WIRE_FAULT_TIMEOUT, WIRE_FAULT_TRANSIENT,
 };
 
-/// Salt for the genome → slot routing hash. Routing must not correlate
-/// with any fault-plan hash, so it gets its own salt.
+/// Salt for the genome → slot routing hash that places retries and
+/// supervised attempts; a numbered evaluation's first attempt goes by its
+/// lane instead (module docs, Routing). Routing must not correlate with
+/// any fault-plan hash, so it gets its own salt.
 const ROUTE_SALT: u64 = 0x726f_7574_6532;
 
 /// Respawn backoff: `BACKOFF_BASE_MS << (failures - 1)`, capped.
@@ -190,10 +203,11 @@ impl SubprocessConfig {
         self
     }
 
-    /// Number of warm children to keep (clamped to at least 1). Each
-    /// genome routes to `stable_hash % pool_size`, so the mapping — and
-    /// with it every child's request set — is independent of engine
-    /// worker count.
+    /// Number of warm children to keep (clamped to at least 1). A
+    /// numbered evaluation's first attempt routes to `lane % pool_size`,
+    /// and retries and supervised attempts to `stable_hash % pool_size`.
+    /// Both keys depend on the run alone, so every child's request set is
+    /// independent of engine worker count.
     #[must_use]
     pub fn with_pool_size(mut self, n: usize) -> Self {
         self.pool_size = n.max(1);
@@ -573,8 +587,14 @@ impl<'a> SubprocessEvaluator<'a> {
 
     /// One evaluation round-trip, including transparent transport
     /// retries and all kill/respawn bookkeeping.
-    fn roundtrip(&self, genome: &Genome, attempt: u32) -> Roundtrip {
-        let idx = (genome.stable_hash(ROUTE_SALT) % self.slots.len() as u64) as usize;
+    fn roundtrip(&self, genome: &Genome, attempt: u32, lane: Option<u64>) -> Roundtrip {
+        // A first attempt with a lane goes by the lane, anything else by
+        // the genome's hash (module docs, Routing).
+        let key = match lane {
+            Some(lane) if attempt == 1 => lane,
+            _ => genome.stable_hash(ROUTE_SALT),
+        };
+        let idx = (key % self.slots.len() as u64) as usize;
         let mut slot = match self.slots[idx].lock() {
             Ok(slot) => slot,
             Err(poisoned) => poisoned.into_inner(),
@@ -666,8 +686,8 @@ impl<'a> SubprocessEvaluator<'a> {
     }
 
     /// The full attempt: round-trip, charge, failure mapping.
-    fn run_attempt(&self, genome: &Genome, attempt: u32) -> AttemptOutcome {
-        match self.roundtrip(genome, attempt) {
+    fn run_attempt(&self, genome: &Genome, attempt: u32, lane: Option<u64>) -> AttemptOutcome {
+        match self.roundtrip(genome, attempt, lane) {
             Roundtrip::Outcome(WireOutcome::Metrics { garbled, tool_secs, cost_ms, values }) => {
                 if values.len() != self.expect.metric_len as usize {
                     return AttemptOutcome::Finished {
@@ -722,8 +742,13 @@ impl<'a> SubprocessEvaluator<'a> {
 }
 
 impl FallibleEvaluator for SubprocessEvaluator<'_> {
-    fn try_fitness(&self, genome: &Genome, attempt: u32) -> Result<Option<f64>, EvalFailure> {
-        match self.run_attempt(genome, attempt) {
+    fn try_fitness(
+        &self,
+        genome: &Genome,
+        attempt: u32,
+        lane: Option<u64>,
+    ) -> Result<Option<f64>, EvalFailure> {
+        match self.run_attempt(genome, attempt, lane) {
             AttemptOutcome::Finished { result, .. } => result,
             AttemptOutcome::Hang => {
                 // Unsupervised view of a hung child: the I/O deadline is
@@ -739,7 +764,7 @@ impl FallibleEvaluator for SubprocessEvaluator<'_> {
 
 impl SupervisableEvaluator for SubprocessEvaluator<'_> {
     fn attempt(&self, genome: &Genome, attempt: u32) -> AttemptOutcome {
-        self.run_attempt(genome, attempt)
+        self.run_attempt(genome, attempt, None)
     }
 }
 
@@ -982,7 +1007,7 @@ mod tests {
         .expect("handshake itself is valid");
 
         let err = evaluator
-            .try_fitness(&Genome::from_genes(vec![1, 2]), 0)
+            .try_fitness(&Genome::from_genes(vec![1, 2]), 0, None)
             .expect_err("version-99 reply scored");
         match err {
             EvalFailure::Corrupted(reason) => {

@@ -191,7 +191,8 @@ impl FaultPlan {
 ///   [`EvalFailure::Corrupted`] and quarantines.
 ///
 /// Injection counters are exposed per kind for exact reconciliation in
-/// chaos tests.
+/// chaos tests. A fate depends on the genome and attempt alone, so the
+/// evaluation's lane is ignored.
 pub struct FaultyEvaluator<'a> {
     inner: &'a dyn FitnessFn,
     plan: FaultPlan,
@@ -244,7 +245,12 @@ impl<'a> FaultyEvaluator<'a> {
 }
 
 impl FallibleEvaluator for FaultyEvaluator<'_> {
-    fn try_fitness(&self, genome: &Genome, attempt: u32) -> Result<Option<f64>, EvalFailure> {
+    fn try_fitness(
+        &self,
+        genome: &Genome,
+        attempt: u32,
+        _lane: Option<u64>,
+    ) -> Result<Option<f64>, EvalFailure> {
         match self.plan.decide_full(genome, attempt) {
             Some(InjectedFault::Transient) => {
                 self.count(FailureKind::Transient);
@@ -283,7 +289,7 @@ impl SupervisableEvaluator for FaultyEvaluator<'_> {
             return AttemptOutcome::Hang;
         }
         AttemptOutcome::Finished {
-            result: self.try_fitness(genome, attempt),
+            result: self.try_fitness(genome, attempt, None),
             cost_ms: self.plan.attempt_cost_ms(genome, attempt),
         }
     }
@@ -313,7 +319,7 @@ mod tests {
         let f = value_fn();
         let eval = FaultyEvaluator::new(&f, FaultPlan::new(1));
         for x in 0..50 {
-            assert_eq!(eval.try_fitness(&g(x), 1), Ok(Some(f64::from(x))));
+            assert_eq!(eval.try_fitness(&g(x), 1, None), Ok(Some(f64::from(x))));
         }
         assert_eq!(eval.total_injected(), 0);
     }
@@ -442,7 +448,7 @@ mod tests {
         let plan = FaultPlan::new(10).with_hang_rate(1.0);
         let eval = FaultyEvaluator::new(&f, plan);
         assert_eq!(
-            eval.try_fitness(&g(1), 1),
+            eval.try_fitness(&g(1), 1, None),
             Err(EvalFailure::Timeout { elapsed_ms: 1_001, limit_ms: 1_000 })
         );
         assert_eq!(eval.injected_hangs(), 1);
@@ -459,12 +465,12 @@ mod tests {
             Some(f64::from(g.gene_at(0)))
         });
         let crash = FaultyEvaluator::new(&f, FaultPlan::new(6).with_transient_rate(1.0));
-        assert!(crash.try_fitness(&g(1), 1).is_err());
+        assert!(crash.try_fitness(&g(1), 1, None).is_err());
         assert_eq!(calls.load(Ordering::Relaxed), 0, "crashed backend must not be charged");
         assert_eq!(crash.injected(FailureKind::Transient), 1);
 
         let corrupt = FaultyEvaluator::new(&f, FaultPlan::new(6).with_corrupt_rate(1.0));
-        let out = corrupt.try_fitness(&g(1), 1).unwrap().unwrap();
+        let out = corrupt.try_fitness(&g(1), 1, None).unwrap().unwrap();
         assert!(out.is_nan(), "corruption should return garbage, not an error");
         assert_eq!(calls.load(Ordering::Relaxed), 1, "corrupted run still charged the backend");
         assert_eq!(corrupt.injected(FailureKind::Corrupted), 1);

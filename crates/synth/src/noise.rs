@@ -38,28 +38,13 @@ pub fn gauss_from_hash(h: u64) -> f64 {
 /// ```
 #[must_use]
 pub fn noise_factor(genome: &Genome, salt: u64, sigma: f64) -> f64 {
-    noise_factor_genes(genome.genes(), salt, sigma)
-}
-
-/// Slice-native [`noise_factor`]: identical value for the same genes.
-///
-/// Slice-native model kernels work over gene rows and derive noise
-/// without a [`Genome`].
-#[must_use]
-pub fn noise_factor_genes(genes: &[u32], salt: u64, sigma: f64) -> f64 {
-    (sigma * gauss_from_hash(hash_genes(genes, salt))).exp()
+    (sigma * gauss_from_hash(hash_genes(genome.genes(), salt))).exp()
 }
 
 /// A uniform deviate in `[lo, hi)` for `genome`, per `salt`.
 #[must_use]
 pub fn uniform_in(genome: &Genome, salt: u64, lo: f64, hi: f64) -> f64 {
-    uniform_in_genes(genome.genes(), salt, lo, hi)
-}
-
-/// Slice-native [`uniform_in`]: identical value for the same genes.
-#[must_use]
-pub fn uniform_in_genes(genes: &[u32], salt: u64, lo: f64, hi: f64) -> f64 {
-    lo + (hi - lo) * mix_to_unit(hash_genes(genes, salt))
+    lo + (hi - lo) * mix_to_unit(hash_genes(genome.genes(), salt))
 }
 
 #[cfg(test)]
@@ -102,16 +87,6 @@ mod tests {
         let g = Genome::from_genes(vec![1, 2, 3]);
         assert_ne!(noise_factor(&g, 1, 0.1), noise_factor(&g, 2, 0.1));
         assert_ne!(uniform_in(&g, 1, 0.0, 1.0), uniform_in(&g, 2, 0.0, 1.0));
-    }
-
-    #[test]
-    fn slice_native_variants_match_genome_variants() {
-        for i in 0..200u32 {
-            let genes = vec![i, i * 3 + 1, i % 7];
-            let g = Genome::from_genes(genes.clone());
-            assert_eq!(noise_factor(&g, 0xA1, 0.07), noise_factor_genes(&genes, 0xA1, 0.07));
-            assert_eq!(uniform_in(&g, 0xB2, 1.0, 9.0), uniform_in_genes(&genes, 0xB2, 1.0, 9.0));
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline pre-commit gate: replay, tool-farm and daemon-sweep outcome
-# digests, pinned chaos digests, the std-only workspace check,
-# formatting, lints, rustdoc, tests.
+# digests, the benchmark's own tests, pinned chaos digests, the std-only
+# workspace check, formatting, lints, rustdoc, tests.
 #
 # Usage: scripts/check.sh [--tsan]
 #
@@ -99,6 +99,11 @@ if ! grep -qxF "$want" <<< "$out"; then
     grep '^digest' <<< "$out" >&2 || true
     exit 1
 fi
+
+echo "==> benchmark test suite (perfbench's own workspace)"
+# The digest gates above run perfbench's binaries; its window, probe,
+# log, procfs, stats and CLI code is covered by its own tests.
+require_tests cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> fault-path digests: chaos and hang storm pinned at 1 worker"
 # Supervised runs take the batched scorer at every worker count, so the
