@@ -16,6 +16,7 @@
 //!   correctness (paper footnote 1).
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use nautilus_ga::ops::{CrossoverOp, MutationOp, OpCtx};
 use nautilus_ga::rng::SearchRng;
@@ -69,6 +70,19 @@ pub struct GuidedMutation {
     /// Last generation an `ImportanceDecayed` event was emitted for, so an
     /// observed run reports each generation's weights exactly once.
     last_decay_gen: AtomicU32,
+    /// The weights of the generation mutated last: every `mutate` call of
+    /// a generation reads them instead of recomputing them.
+    decayed: Mutex<Decayed>,
+}
+
+/// [`GuidedMutation`]'s gene-selection weights for one generation.
+#[derive(Debug, Default)]
+struct Decayed {
+    /// `None` until the first `mutate` call, and after a confidence change.
+    generation: Option<u32>,
+    weights: Vec<f64>,
+    /// `weights.iter().sum()`.
+    total: f64,
 }
 
 impl GuidedMutation {
@@ -137,6 +151,7 @@ impl GuidedMutation {
             params,
             pull: 0.5,
             last_decay_gen: AtomicU32::new(u32::MAX),
+            decayed: Mutex::default(),
         })
     }
 
@@ -152,6 +167,7 @@ impl GuidedMutation {
     #[must_use]
     pub fn with_confidence(mut self, confidence: f64) -> Self {
         self.confidence = confidence.clamp(0.0, 1.0);
+        self.decayed.get_mut().unwrap_or_else(PoisonError::into_inner).generation = None;
         self
     }
 
@@ -166,19 +182,16 @@ impl GuidedMutation {
     /// Weight `w_i = 1 + c · (imp_i · d_i^g − 1)`: importance decays toward
     /// the neutral floor at rate `d_i`, and confidence `c` scales how far
     /// the distribution departs from uniform.
-    fn weights(&self, generation: u32) -> Vec<f64> {
-        self.params
-            .iter()
-            .map(|p| {
-                let decayed = 1.0 + (p.importance - 1.0) * p.decay.powi(generation as i32);
-                1.0 + self.confidence * (decayed - 1.0)
-            })
-            .collect()
+    fn weights(&self, generation: u32) -> impl Iterator<Item = f64> + '_ {
+        self.params.iter().map(move |p| {
+            let decayed = 1.0 + (p.importance - 1.0) * p.decay.powi(generation as i32);
+            1.0 + self.confidence * (decayed - 1.0)
+        })
     }
 
-    /// Samples a gene index from the importance distribution.
-    fn pick_gene(&self, weights: &[f64], rng: &mut SearchRng) -> usize {
-        let total: f64 = weights.iter().sum();
+    /// Samples a gene index from the importance distribution, whose
+    /// weights sum to `total`.
+    fn pick_gene(&self, weights: &[f64], total: f64, rng: &mut SearchRng) -> usize {
         let mut u = rng.unit() * total;
         for (i, w) in weights.iter().enumerate() {
             if u < *w {
@@ -284,7 +297,18 @@ impl GuidedMutation {
 impl MutationOp for GuidedMutation {
     fn mutate(&self, genome: &mut Genome, space: &ParamSpace, ctx: &OpCtx, rng: &mut SearchRng) {
         debug_assert_eq!(space.num_params(), self.params.len(), "operator resolved elsewhere");
-        let weights = self.weights(ctx.generation);
+        // A panic while the lock is held (a genome from another space, a
+        // panicking observer) leaves the weights whole: they are marked
+        // stale before they are rewritten, so the recovered guard is safe.
+        let mut decayed = self.decayed.lock().unwrap_or_else(PoisonError::into_inner);
+        if decayed.generation != Some(ctx.generation) {
+            decayed.generation = None;
+            decayed.weights.clear();
+            decayed.weights.extend(self.weights(ctx.generation));
+            decayed.total = decayed.weights.iter().sum();
+            decayed.generation = Some(ctx.generation);
+        }
+        let Decayed { weights, total, .. } = &*decayed;
         if ctx.observer.enabled()
             && self.last_decay_gen.swap(ctx.generation, Ordering::Relaxed) != ctx.generation
         {
@@ -302,7 +326,7 @@ impl MutationOp for GuidedMutation {
         // but each slot picks its gene from the importance distribution.
         for _ in 0..space.num_params() {
             if rng.chance(self.rate) {
-                let i = self.pick_gene(&weights, rng);
+                let i = self.pick_gene(weights, *total, rng);
                 if let Some((hint_kind, accepted)) = self.mutate_gene(genome, space, i, rng) {
                     if ctx.observer.enabled() {
                         ctx.observer.on_event(&SearchEvent::MutationHintApplied {
@@ -386,22 +410,17 @@ impl GuidedCrossover {
 impl CrossoverOp for GuidedCrossover {
     fn crossover(
         &self,
-        a: &Genome,
-        b: &Genome,
+        a: &mut Genome,
+        b: &mut Genome,
         _space: &ParamSpace,
         ctx: &OpCtx,
         rng: &mut SearchRng,
-    ) -> (Genome, Genome) {
-        let mut ca = a.clone();
-        let mut cb = b.clone();
+    ) {
         for i in 0..a.len() {
             if rng.chance(self.swap_prob(i, ctx.generation)) {
-                let tmp = ca.gene_at(i);
-                ca.set_gene_at(i, cb.gene_at(i));
-                cb.set_gene_at(i, tmp);
+                a.swap_gene_at(b, i);
             }
         }
-        (ca, cb)
     }
 
     fn name(&self) -> &str {
@@ -606,8 +625,8 @@ mod tests {
             .confidence(Confidence::new(1.0).unwrap())
             .build();
         let op = GuidedMutation::resolve(&hints, &s, Direction::Maximize).unwrap();
-        let early = op.weights(0);
-        let late = op.weights(60);
+        let early: Vec<f64> = op.weights(0).collect();
+        let late: Vec<f64> = op.weights(60).collect();
         assert!(early[0] / early[1] > 50.0, "early skew missing: {early:?}");
         assert!(late[0] / late[1] < 3.0, "decay not applied: {late:?}");
         // Undecayed parameters keep their weight.
@@ -703,6 +722,61 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_generations_mutate_as_fresh_operators_do() {
+        // One operator cycles through generations 3, 5, 3; each call must
+        // match a freshly resolved operator at that generation, and the
+        // observed one reports each generation's weights as it enters it.
+        let s = space();
+        let hints = HintSet::for_metric("m")
+            .importance("a", 100)
+            .unwrap()
+            .decay("a", 0.8)
+            .unwrap()
+            .bias("b", 0.7)
+            .unwrap()
+            .importance("c", 20)
+            .unwrap()
+            .confidence(Confidence::new(0.8).unwrap())
+            .build();
+        let resolve =
+            || GuidedMutation::resolve(&hints, &s, Direction::Maximize).unwrap().with_rate(0.6);
+        let shared = resolve();
+        let sink = nautilus_obs::InMemorySink::new();
+        let mut rng = SearchRng::seed_from_u64(50);
+        let mut fresh_rng = SearchRng::seed_from_u64(50);
+        let mut g = Genome::from_genes(vec![5, 5, 1]);
+        let mut fresh_g = g.clone();
+        for generation in [3, 5, 3] {
+            for call in 0..40 {
+                shared.mutate(&mut g, &s, &OpCtx::with_observer(generation, 80, &sink), &mut rng);
+                resolve().mutate(&mut fresh_g, &s, &OpCtx::new(generation, 80), &mut fresh_rng);
+                assert_eq!(g, fresh_g, "generation {generation}, call {call}");
+            }
+        }
+        assert_eq!(rng, fresh_rng);
+        let decays: Vec<u32> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                SearchEvent::ImportanceDecayed { generation, .. } => Some(*generation),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(decays, [3, 5, 3], "one decay event per generation entered");
+        // A confidence change after use drops the cached weights.
+        let refit = shared.with_confidence(0.1);
+        let mut a = Genome::from_genes(vec![5, 5, 1]);
+        let mut b = a.clone();
+        let mut rng_a = SearchRng::seed_from_u64(51);
+        let mut rng_b = SearchRng::seed_from_u64(51);
+        for _ in 0..40 {
+            refit.mutate(&mut a, &s, &OpCtx::new(3, 80), &mut rng_a);
+            resolve().with_confidence(0.1).mutate(&mut b, &s, &OpCtx::new(3, 80), &mut rng_b);
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
     fn declined_confidence_gate_reports_fallback() {
         let s = space();
         let hints = HintSet::for_metric("m")
@@ -775,7 +849,8 @@ mod tests {
         let mut b_swaps = 0;
         let n = 4000;
         for _ in 0..n {
-            let (ca, _) = op.crossover(&pa, &pb, &s, &OpCtx::new(0, 80), &mut rng);
+            let (mut ca, mut cb) = (pa.clone(), pb.clone());
+            op.crossover(&mut ca, &mut cb, &s, &OpCtx::new(0, 80), &mut rng);
             if ca.gene_at(0) == 9 {
                 a_swaps += 1;
             }
@@ -804,7 +879,8 @@ mod tests {
         let mut a_swaps = 0;
         let n = 4000;
         for _ in 0..n {
-            let (ca, _) = op.crossover(&pa, &pb, &s, &OpCtx::new(0, 80), &mut rng);
+            let (mut ca, mut cb) = (pa.clone(), pb.clone());
+            op.crossover(&mut ca, &mut cb, &s, &OpCtx::new(0, 80), &mut rng);
             if ca.gene_at(0) == 9 {
                 a_swaps += 1;
             }
@@ -822,7 +898,8 @@ mod tests {
         for _ in 0..200 {
             let pa = s.random_genome(&mut rng);
             let pb = s.random_genome(&mut rng);
-            let (ca, cb) = op.crossover(&pa, &pb, &s, &OpCtx::new(3, 80), &mut rng);
+            let (mut ca, mut cb) = (pa.clone(), pb.clone());
+            op.crossover(&mut ca, &mut cb, &s, &OpCtx::new(3, 80), &mut rng);
             for i in 0..pa.len() {
                 let parents = [pa.gene_at(i), pb.gene_at(i)];
                 let kids = [ca.gene_at(i), cb.gene_at(i)];

@@ -9,6 +9,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::genome::Genome;
+use crate::rng::RowBuildHasher;
 
 /// Memoizes fitness evaluations and counts distinct evaluations.
 ///
@@ -18,10 +19,13 @@ use crate::genome::Genome;
 /// Quarantined genomes (every evaluation attempt failed) are also stored
 /// as `None` — they score like infeasible points and are never
 /// re-evaluated — but counted on their own ledger.
+///
+/// Keys hash with [`RowHasher`](crate::rng::RowHasher), so a lookup by a
+/// borrowed `&[u32]` row costs a few multiplies, not a SipHash pass.
 #[derive(Debug, Clone, Default)]
 pub struct EvalCache {
-    map: HashMap<Genome, Option<f64>>,
-    quarantined: HashSet<Genome>,
+    map: HashMap<Genome, Option<f64>, RowBuildHasher>,
+    quarantined: HashSet<Genome, RowBuildHasher>,
     hits: u64,
     feasible_misses: u64,
     infeasible_misses: u64,
@@ -32,6 +36,16 @@ impl EvalCache {
     #[must_use]
     pub fn new() -> Self {
         EvalCache::default()
+    }
+
+    /// Creates an empty cache with room for `entries` memoized genomes
+    /// before its table first grows.
+    #[must_use]
+    pub fn with_capacity(entries: usize) -> Self {
+        EvalCache {
+            map: HashMap::with_capacity_and_hasher(entries, RowBuildHasher::default()),
+            ..EvalCache::default()
+        }
     }
 
     /// Looks `genome` up, evaluating and memoizing with `eval` on a miss.
@@ -363,6 +377,50 @@ mod tests {
         assert!(r.is_quarantined(&[2]));
         assert!(!r.is_quarantined(&[1]));
         assert_eq!(r.snapshot(), snap, "snapshot of a restore is identical");
+    }
+
+    #[test]
+    fn genome_keys_are_found_by_row_and_snapshots_ignore_insertion_order() {
+        use crate::rng::{RowBuildHasher, SearchRng};
+        use std::hash::BuildHasher;
+
+        // 300 distinct rows of 3 genes (an odd byte count, so the hasher's
+        // tail path runs), a third of them infeasible.
+        let rows: Vec<Vec<u32>> = (0..300u32).map(|i| vec![i % 7, i / 7, i * 31 % 11]).collect();
+        let value = |r: &[u32]| (!r[1].is_multiple_of(3)).then(|| f64::from(r[0] + r[2]));
+        let fill = |mut cache: EvalCache, order: &[usize]| {
+            for &i in order {
+                let g = Genome::from_genes(rows[i].clone());
+                cache.get_or_eval(&g, |g| value(g.genes()));
+                if i % 50 == 0 {
+                    cache.insert_quarantined(&[1000 + i as u32]);
+                }
+            }
+            cache
+        };
+        let forward: Vec<usize> = (0..rows.len()).collect();
+        let backward: Vec<usize> = forward.iter().rev().copied().collect();
+        let mut shuffled = forward.clone();
+        let mut rng = SearchRng::seed_from_u64(17);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+
+        let mut a = fill(EvalCache::new(), &forward);
+        let b = fill(EvalCache::with_capacity(4), &backward);
+        let c = fill(EvalCache::with_capacity(1 << 12), &shuffled);
+        assert_eq!(a.snapshot(), b.snapshot(), "reverse insertion changed the snapshot");
+        assert_eq!(a.snapshot(), c.snapshot(), "shuffled insertion changed the snapshot");
+
+        let build = RowBuildHasher::default();
+        for r in &rows {
+            let g = Genome::from_genes(r.clone());
+            assert_eq!(build.hash_one(&g), build.hash_one(r.as_slice()), "{g} hashes apart");
+            assert_eq!(a.peek(r), Some(value(r)), "row {r:?} not found");
+            assert_eq!(a.lookup(r), Some(value(r)));
+        }
+        assert_eq!(a.hits(), rows.len() as u64);
+        assert_eq!(a.peek(&[99, 99, 99]), None);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::fitness::FitnessFn;
 use crate::genome::Genome;
 use crate::ops::{CrossoverOp, MutationOp, OnePointCrossover, OpCtx, UniformMutation};
 use crate::pool::EvalPool;
-use crate::rng::SearchRng;
+use crate::rng::{RowBuildHasher, SearchRng};
 use crate::select::{ScoredGenome, Selector, Tournament};
 use crate::space::ParamSpace;
 use crate::supervise::{Admission, AttemptOutcome, SuperviseSession, SuperviseStats, Supervisor};
@@ -26,6 +26,11 @@ use crate::supervise::{Admission, AttemptOutcome, SuperviseSession, SuperviseSta
 /// Checkpoint aux-blob key carrying the supervision session (circuit
 /// breaker state plus whole-run health counters) across a resume.
 pub const AUX_BREAKER: &str = "ga.breaker";
+
+/// The most entries a run reserves up front, for its history and for its
+/// evaluation cache alike. Both are sized from `generations`, which a
+/// daemon client chooses: past this bound they grow on demand instead.
+const RESERVE_LIMIT: usize = 4096;
 
 /// Callback producing auxiliary blobs to embed in every checkpoint (the
 /// `nautilus` crate uses it to carry its report snapshot and synthesis-job
@@ -497,8 +502,11 @@ impl<'a> GaEngine<'a> {
                 });
             }
         } else {
+            // Scored generations, the initial population's included.
+            let scorings = (self.settings.generations as usize).saturating_add(1);
             rng = SearchRng::seed_from_u64(seed);
-            cache = EvalCache::new();
+            let rows = scorings.saturating_mul(self.settings.population);
+            cache = EvalCache::with_capacity(rows.min(RESERVE_LIMIT));
             faults = FaultStats::default();
             best_genome = None;
             best_value = direction.worst_value();
@@ -530,12 +538,7 @@ impl<'a> GaEngine<'a> {
                         if init_pop.is_empty() {
                             return Err(GaError::NoFeasibleGenome { attempts });
                         }
-                        // Partial population: fill remaining slots with clones
-                        // of what we found so we can still proceed.
-                        while init_pop.len() < self.settings.population {
-                            let idx = init_pop.len() % init_pop.len().max(1);
-                            init_pop.push(init_pop[idx].clone());
-                        }
+                        fill_partial(&mut init_pop, self.settings.population);
                         break;
                     }
                     if workers <= 1 {
@@ -576,11 +579,18 @@ impl<'a> GaEngine<'a> {
                 }
             }
             population = PopArena::from_genomes(&init_pop);
-            history = Vec::with_capacity(self.settings.generations as usize + 1);
+            history = Vec::with_capacity(scorings.min(RESERVE_LIMIT));
         }
 
         // --- Generational loop --------------------------------------------
         let mut stop = StopReason::Completed;
+        // Run-scoped scratch: the scored population and the two children
+        // are overwritten in place every generation, never reallocated.
+        let scratch = || Genome::from_genes(Vec::with_capacity(population.gene_len()));
+        let mut scored: Vec<ScoredGenome> = (0..population.len())
+            .map(|_| ScoredGenome { genome: scratch(), score: f64::NEG_INFINITY })
+            .collect();
+        let (mut ca, mut cb) = (scratch(), scratch());
 
         for generation in start_generation..=self.settings.generations {
             if obs.enabled() {
@@ -589,18 +599,15 @@ impl<'a> GaEngine<'a> {
             // Score the population (cache makes revisits free).
             let scoring_span = nautilus_obs::span(obs, "scoring");
             let scoring_start = rec.as_ref().map(SpanRecorder::begin);
-            let mut scored: Vec<ScoredGenome> = if self.supervisor.is_none() && workers <= 1 {
+            if self.supervisor.is_none() && workers <= 1 {
                 // One unsupervised worker scores inline: no miss list, no
                 // pool job and no event capture to pay for.
-                let mut scratch = Genome::from_genes(Vec::with_capacity(population.gene_len()));
-                let mut scored = Vec::with_capacity(population.len());
-                for i in 0..population.len() {
-                    scratch.copy_from_slice(population.row(i));
-                    let raw = self.eval_into_cache(&mut cache, &scratch, &mut faults, &mut rec);
-                    let score = raw.map_or(f64::NEG_INFINITY, |v| direction.to_score(v));
-                    scored.push(ScoredGenome { genome: scratch.clone(), score });
+                for (member, row) in scored.iter_mut().zip(population.rows()) {
+                    member.genome.copy_from_slice(row);
+                    let raw =
+                        self.eval_into_cache(&mut cache, &member.genome, &mut faults, &mut rec);
+                    member.score = raw.map_or(f64::NEG_INFINITY, |v| direction.to_score(v));
                 }
-                scored
             } else {
                 // Supervision always takes the batched path: watchdog,
                 // hedging and breaker decisions live in the merge loop,
@@ -631,15 +638,11 @@ impl<'a> GaEngine<'a> {
                     &pool,
                     &mut rec,
                 );
-                population
-                    .rows()
-                    .zip(raws)
-                    .map(|(row, raw)| ScoredGenome {
-                        genome: Genome::from_genes(row.to_vec()),
-                        score: raw.map_or(f64::NEG_INFINITY, |v| direction.to_score(v)),
-                    })
-                    .collect()
-            };
+                for ((member, row), raw) in scored.iter_mut().zip(population.rows()).zip(raws) {
+                    member.genome.copy_from_slice(row);
+                    member.score = raw.map_or(f64::NEG_INFINITY, |v| direction.to_score(v));
+                }
+            }
             // Best-first, deterministic tie-break on the genome itself.
             scored.sort_by(|a, b| {
                 b.score
@@ -652,16 +655,13 @@ impl<'a> GaEngine<'a> {
             }
             drop(scoring_span);
 
-            let feasible: Vec<f64> = scored
-                .iter()
-                .filter(|s| s.score.is_finite())
-                .map(|s| direction.from_score(s.score))
-                .collect();
-            let gen_best = feasible.first().copied().unwrap_or(f64::NAN);
-            let gen_mean = if feasible.is_empty() {
-                f64::NAN
-            } else {
-                feasible.iter().sum::<f64>() / feasible.len() as f64
+            let feasible = || {
+                scored.iter().filter(|s| s.score.is_finite()).map(|s| direction.from_score(s.score))
+            };
+            let gen_best = feasible().next().unwrap_or(f64::NAN);
+            let gen_mean = match feasible().count() {
+                0 => f64::NAN,
+                count => feasible().sum::<f64>() / count as f64,
             };
             if let Some(first) = scored.first() {
                 if first.score.is_finite() {
@@ -708,15 +708,14 @@ impl<'a> GaEngine<'a> {
                     timed(&mut rec, Phase::Selection, || self.selector.select(&scored, &mut rng));
                 let ib =
                     timed(&mut rec, Phase::Selection, || self.selector.select(&scored, &mut rng));
-                let pa = &scored[ia].genome;
-                let pb = &scored[ib].genome;
+                ca.copy_from_slice(scored[ia].genome.genes());
+                cb.copy_from_slice(scored[ib].genome.genes());
                 if obs.enabled() {
                     let kind = self.selector.name().to_owned();
                     obs.on_event(&SearchEvent::SelectionInvoked { generation, kind: kind.clone() });
                     obs.on_event(&SearchEvent::SelectionInvoked { generation, kind });
                 }
-                let crossed = rng.chance(self.settings.crossover_rate);
-                let (mut ca, mut cb) = if crossed {
+                if rng.chance(self.settings.crossover_rate) {
                     if obs.enabled() {
                         obs.on_event(&SearchEvent::CrossoverApplied {
                             generation,
@@ -724,11 +723,9 @@ impl<'a> GaEngine<'a> {
                         });
                     }
                     timed(&mut rec, Phase::Crossover, || {
-                        self.crossover.crossover(pa, pb, self.space, &ctx, &mut rng)
-                    })
-                } else {
-                    (pa.clone(), pb.clone())
-                };
+                        self.crossover.crossover(&mut ca, &mut cb, self.space, &ctx, &mut rng);
+                    });
+                }
                 timed(&mut rec, Phase::Mutation, || {
                     self.mutation.mutate(&mut ca, self.space, &ctx, &mut rng);
                 });
@@ -931,7 +928,7 @@ impl<'a> GaEngine<'a> {
         admission: Option<&mut SuperviseSession>,
         rec: &mut Option<SpanRecorder<'_>>,
     ) -> MissBatch<'p> {
-        let mut distinct: HashSet<&[u32]> = HashSet::new();
+        let mut distinct: HashSet<&[u32], RowBuildHasher> = HashSet::default();
         let mut admitted: Vec<(&[u32], bool)> = Vec::new();
         timed(rec, Phase::CacheLookup, || {
             for row in population.rows() {
@@ -1122,7 +1119,7 @@ impl<'a> GaEngine<'a> {
 struct MissBatch<'p> {
     /// Every distinct miss, shed ones included: the scoring pass charges
     /// none of them a cache hit.
-    distinct: HashSet<&'p [u32]>,
+    distinct: HashSet<&'p [u32], RowBuildHasher>,
     /// The misses to evaluate in first-occurrence order, each flagged
     /// when breaker admission made it a probe.
     admitted: Vec<(&'p [u32], bool)>,
@@ -1135,6 +1132,15 @@ enum MissStep {
     Done(EvalRecord),
     /// A supervised miss's attempt outcomes, resolved on the merge thread.
     Precomputed(Vec<AttemptOutcome>),
+}
+
+/// Fills an initial population that ended short of `population` by
+/// cycling through the feasible genomes it found, in the order found.
+fn fill_partial(init_pop: &mut Vec<Genome>, population: usize) {
+    let found = init_pop.len();
+    for k in found..population {
+        init_pop.push(init_pop[k % found].clone());
+    }
 }
 
 /// Runs `f` inside a `phase` span when a recorder is attached; with
@@ -1666,6 +1672,32 @@ mod tests {
                 "all-infeasible init at workers={workers}"
             );
         }
+    }
+
+    #[test]
+    fn partial_init_cycles_through_the_genomes_found() {
+        let a = Genome::from_genes(vec![1, 2, 3]);
+        let b = Genome::from_genes(vec![4, 5, 6]);
+        let mut init_pop = vec![a.clone(), b.clone()];
+        fill_partial(&mut init_pop, 10);
+        let expected: Vec<Genome> = (0..10).map(|k| [&a, &b][k % 2].clone()).collect();
+        assert_eq!(init_pop, expected);
+    }
+
+    #[test]
+    fn huge_generation_counts_reserve_nothing_up_front() {
+        // `generations` is caller-chosen (a daemon client can submit
+        // u32::MAX): the run must not reserve memory in proportion to it.
+        let s = space();
+        let f = sphere();
+        let settings = GaSettings { generations: u32::MAX, ..GaSettings::default() };
+        let run = GaEngine::new(&s, &f)
+            .with_settings(settings)
+            .with_budget(RunBudget::new().with_max_generations(1))
+            .run(3)
+            .unwrap();
+        assert_eq!(run.stop, StopReason::GenerationBudget);
+        assert_eq!(run.history.len(), 2, "generations 0 and 1 scored");
     }
 
     #[test]

@@ -87,6 +87,16 @@ impl Genome {
         self.genes[idx] = value;
     }
 
+    /// Exchanges the gene at raw position `idx` with `other`'s: the step
+    /// every crossover operator recombines with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range for either genome.
+    pub fn swap_gene_at(&mut self, other: &mut Genome, idx: usize) {
+        std::mem::swap(&mut self.genes[idx], &mut other.genes[idx]);
+    }
+
     /// Number of positions at which `self` and `other` differ.
     ///
     /// ```
@@ -174,6 +184,9 @@ mod tests {
         g.set_gene(ParamId(1), 3);
         g.set_gene_at(0, 2);
         assert_eq!(g.genes(), &[2, 3]);
+        let mut h = Genome::from_genes(vec![7, 8]);
+        g.swap_gene_at(&mut h, 1);
+        assert_eq!((g.genes(), h.genes()), (&[2, 8][..], &[7, 3][..]));
     }
 
     #[test]

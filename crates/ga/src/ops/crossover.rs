@@ -10,15 +10,17 @@ use crate::space::ParamSpace;
 /// In IP-parameter terms, crossover mixes the parameter settings of two
 /// design points ("breeding" in the paper's description).
 pub trait CrossoverOp: Send + Sync {
-    /// Produces two children from `a` and `b`.
+    /// Recombines `a` and `b` in place: they enter as copies of the two
+    /// parents and leave as the two children, so breeding reuses the
+    /// engine's two scratch genomes instead of allocating children.
     fn crossover(
         &self,
-        a: &Genome,
-        b: &Genome,
+        a: &mut Genome,
+        b: &mut Genome,
         space: &ParamSpace,
         ctx: &OpCtx,
         rng: &mut SearchRng,
-    ) -> (Genome, Genome);
+    );
 
     /// A short human-readable name for reports.
     fn name(&self) -> &str {
@@ -51,22 +53,17 @@ impl Default for UniformCrossover {
 impl CrossoverOp for UniformCrossover {
     fn crossover(
         &self,
-        a: &Genome,
-        b: &Genome,
+        a: &mut Genome,
+        b: &mut Genome,
         _space: &ParamSpace,
         _ctx: &OpCtx,
         rng: &mut SearchRng,
-    ) -> (Genome, Genome) {
-        let mut ca = a.clone();
-        let mut cb = b.clone();
+    ) {
         for i in 0..a.len() {
             if rng.chance(self.swap_prob) {
-                let tmp = ca.gene_at(i);
-                ca.set_gene_at(i, cb.gene_at(i));
-                cb.set_gene_at(i, tmp);
+                a.swap_gene_at(b, i);
             }
         }
-        (ca, cb)
     }
 
     fn name(&self) -> &str {
@@ -84,24 +81,20 @@ pub struct OnePointCrossover;
 impl CrossoverOp for OnePointCrossover {
     fn crossover(
         &self,
-        a: &Genome,
-        b: &Genome,
+        a: &mut Genome,
+        b: &mut Genome,
         _space: &ParamSpace,
         _ctx: &OpCtx,
         rng: &mut SearchRng,
-    ) -> (Genome, Genome) {
+    ) {
         let n = a.len();
         if n < 2 {
-            return (a.clone(), b.clone());
+            return;
         }
         let cut = 1 + rng.below(n as u64 - 1) as usize;
-        let mut ca = a.clone();
-        let mut cb = b.clone();
         for i in cut..n {
-            ca.set_gene_at(i, b.gene_at(i));
-            cb.set_gene_at(i, a.gene_at(i));
+            a.swap_gene_at(b, i);
         }
-        (ca, cb)
     }
 
     fn name(&self) -> &str {
@@ -116,26 +109,22 @@ pub struct TwoPointCrossover;
 impl CrossoverOp for TwoPointCrossover {
     fn crossover(
         &self,
-        a: &Genome,
-        b: &Genome,
+        a: &mut Genome,
+        b: &mut Genome,
         _space: &ParamSpace,
         _ctx: &OpCtx,
         rng: &mut SearchRng,
-    ) -> (Genome, Genome) {
+    ) {
         let n = a.len();
         if n < 2 {
-            return (a.clone(), b.clone());
+            return;
         }
         let x = rng.below(n as u64) as usize;
         let y = rng.below(n as u64) as usize;
         let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
-        let mut ca = a.clone();
-        let mut cb = b.clone();
         for i in lo..=hi {
-            ca.set_gene_at(i, b.gene_at(i));
-            cb.set_gene_at(i, a.gene_at(i));
+            a.swap_gene_at(b, i);
         }
-        (ca, cb)
     }
 
     fn name(&self) -> &str {
@@ -155,6 +144,19 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Runs `op` on copies of the parents and returns the children.
+    fn children(
+        op: &dyn CrossoverOp,
+        a: &Genome,
+        b: &Genome,
+        s: &ParamSpace,
+        rng: &mut SearchRng,
+    ) -> (Genome, Genome) {
+        let (mut ca, mut cb) = (a.clone(), b.clone());
+        op.crossover(&mut ca, &mut cb, s, &OpCtx::new(0, 1), rng);
+        (ca, cb)
+    }
+
     /// Children of any crossover must be a gene-wise permutation of the
     /// parents: at each position, {child_a, child_b} == {parent_a, parent_b}.
     fn assert_children_conserve_genes(op: &dyn CrossoverOp, seed: u64) {
@@ -163,7 +165,7 @@ mod tests {
         for _ in 0..200 {
             let a = s.random_genome(&mut rng);
             let b = s.random_genome(&mut rng);
-            let (ca, cb) = op.crossover(&a, &b, &s, &OpCtx::new(0, 1), &mut rng);
+            let (ca, cb) = children(op, &a, &b, &s, &mut rng);
             for i in 0..a.len() {
                 let parents = [a.gene_at(i), b.gene_at(i)];
                 let kids = [ca.gene_at(i), cb.gene_at(i)];
@@ -197,7 +199,7 @@ mod tests {
         let b = Genome::from_genes(vec![9; 6]);
         let mut rng = SearchRng::seed_from_u64(13);
         for _ in 0..100 {
-            let (ca, _) = OnePointCrossover.crossover(&a, &b, &s, &OpCtx::new(0, 1), &mut rng);
+            let (ca, _) = children(&OnePointCrossover, &a, &b, &s, &mut rng);
             // ca must be 0...0 9...9 (a prefix of a's genes then b's suffix).
             let genes = ca.genes();
             let first_nine = genes.iter().position(|&g| g == 9).unwrap();
@@ -213,8 +215,7 @@ mod tests {
         let mut rng = SearchRng::seed_from_u64(14);
         let a = s.random_genome(&mut rng);
         let b = s.random_genome(&mut rng);
-        let (ca, cb) =
-            UniformCrossover::new(0.0).crossover(&a, &b, &s, &OpCtx::new(0, 1), &mut rng);
+        let (ca, cb) = children(&UniformCrossover::new(0.0), &a, &b, &s, &mut rng);
         assert_eq!(ca, a);
         assert_eq!(cb, b);
     }
@@ -225,8 +226,7 @@ mod tests {
         let mut rng = SearchRng::seed_from_u64(15);
         let a = s.random_genome(&mut rng);
         let b = s.random_genome(&mut rng);
-        let (ca, cb) =
-            UniformCrossover::new(1.0).crossover(&a, &b, &s, &OpCtx::new(0, 1), &mut rng);
+        let (ca, cb) = children(&UniformCrossover::new(1.0), &a, &b, &s, &mut rng);
         assert_eq!(ca, b);
         assert_eq!(cb, a);
     }
@@ -237,9 +237,9 @@ mod tests {
         let a = Genome::from_genes(vec![1]);
         let b = Genome::from_genes(vec![2]);
         let mut rng = SearchRng::seed_from_u64(16);
-        let (ca, cb) = OnePointCrossover.crossover(&a, &b, &s, &OpCtx::new(0, 1), &mut rng);
+        let (ca, cb) = children(&OnePointCrossover, &a, &b, &s, &mut rng);
         assert_eq!((ca, cb), (a.clone(), b.clone()));
-        let (ca, cb) = TwoPointCrossover.crossover(&a, &b, &s, &OpCtx::new(0, 1), &mut rng);
+        let (ca, cb) = children(&TwoPointCrossover, &a, &b, &s, &mut rng);
         assert_eq!((ca, cb), (a, b));
     }
 }

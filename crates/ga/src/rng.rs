@@ -94,6 +94,62 @@ pub fn hash_genes(genes: &[u32], salt: u64) -> u64 {
     h
 }
 
+/// A std-only [`Hasher`](std::hash::Hasher) for gene rows.
+///
+/// Each 64-bit word of input is folded into the state with a rotate, an
+/// xor and a multiply, and [`finish`](std::hash::Hasher::finish) runs the
+/// state through [`splitmix64`]. It keys [`EvalCache`](crate::EvalCache)
+/// and the engine's per-batch miss index, which hash a short `u32` row on
+/// every lookup, where SipHash's per-call setup and rounds dominate. It
+/// resists no adversary; its keys are genomes the search drew itself.
+///
+/// ```
+/// use std::collections::HashMap;
+/// use nautilus_ga::rng::RowBuildHasher;
+/// let mut map: HashMap<Vec<u32>, u8, RowBuildHasher> = HashMap::default();
+/// map.insert(vec![3, 1, 4], 7);
+/// assert_eq!(map.get([3u32, 1, 4].as_slice()), Some(&7));
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RowHasher(u64);
+
+impl RowHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl std::hash::Hasher for RowHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..tail.len()].copy_from_slice(tail);
+            self.mix(u64::from_le_bytes(buf));
+        }
+    }
+
+    /// Slices hash their length through this before their elements.
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        splitmix64(self.0)
+    }
+}
+
+/// Builds [`RowHasher`]s: the `S` parameter of the row-keyed maps.
+pub type RowBuildHasher = std::hash::BuildHasherDefault<RowHasher>;
+
 /// Runs the property `case` on `cases` seeded inputs.
 ///
 /// Case `k` draws its inputs from

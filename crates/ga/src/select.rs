@@ -1,5 +1,7 @@
 //! Parent-selection strategies.
 
+use std::sync::{Mutex, PoisonError};
+
 use crate::genome::Genome;
 use crate::rng::SearchRng;
 
@@ -75,36 +77,73 @@ impl Selector for Tournament {
 /// `pressure` in `[1, 2]` controls the slope: 1.0 is uniform, 2.0 gives the
 /// worst individual probability zero. This mirrors PyEvolve's rank-based
 /// roulette used by the paper's baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// The rank probabilities depend only on the population size and the
+/// pressure, so they are computed once per size and read by every draw.
+#[derive(Debug)]
 pub struct RankRoulette {
     /// Selection pressure in `[1, 2]`.
     pub pressure: f64,
+    /// Rank probabilities for the last population size and pressure drawn
+    /// with.
+    table: Mutex<RankTable>,
+}
+
+/// [`RankRoulette`]'s per-size probabilities and the pressure they hold
+/// for.
+#[derive(Debug, Default)]
+struct RankTable {
+    pressure: f64,
+    probs: Vec<f64>,
 }
 
 impl RankRoulette {
     /// Creates the selector; `pressure` is clamped to `[1, 2]`.
     #[must_use]
     pub fn new(pressure: f64) -> Self {
-        RankRoulette { pressure: pressure.clamp(1.0, 2.0) }
+        RankRoulette { pressure: pressure.clamp(1.0, 2.0), table: Mutex::default() }
     }
 }
 
 impl Default for RankRoulette {
     fn default() -> Self {
-        RankRoulette { pressure: 1.7 }
+        RankRoulette::new(1.7)
+    }
+}
+
+impl Clone for RankRoulette {
+    fn clone(&self) -> Self {
+        RankRoulette { pressure: self.pressure, table: Mutex::default() }
+    }
+}
+
+impl PartialEq for RankRoulette {
+    fn eq(&self, other: &Self) -> bool {
+        self.pressure == other.pressure
     }
 }
 
 impl Selector for RankRoulette {
     fn select(&self, ranked: &[ScoredGenome], rng: &mut SearchRng) -> usize {
         assert!(!ranked.is_empty(), "cannot select from an empty population");
-        let n = ranked.len() as f64;
+        // An empty table is stale for every population, and the refill
+        // empties it first, so a guard recovered from a poisoned lock is
+        // never read half-written.
+        let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
         let s = self.pressure;
-        // Linear ranking: p(rank r, best r=0) = (s - 2(s-1) r/(n-1)) / n.
+        if table.probs.len() != ranked.len() || table.pressure.to_bits() != s.to_bits() {
+            let len = ranked.len();
+            let n = len as f64;
+            table.probs.clear();
+            table.pressure = s;
+            // Linear ranking: p(rank r, best r=0) = (s - 2(s-1) r/(n-1)) / n.
+            table.probs.extend((0..len).map(|r| {
+                let frac = if len == 1 { 0.0 } else { r as f64 / (n - 1.0) };
+                (s - 2.0 * (s - 1.0) * frac) / n
+            }));
+        }
         let mut u = rng.unit();
-        for r in 0..ranked.len() {
-            let frac = if ranked.len() == 1 { 0.0 } else { r as f64 / (n - 1.0) };
-            let p = (s - 2.0 * (s - 1.0) * frac) / n;
+        for (r, &p) in table.probs.iter().enumerate() {
             if u < p {
                 return r;
             }
@@ -270,6 +309,28 @@ mod tests {
             let p = c as f64 / 40_000.0;
             assert!((p - 0.25).abs() < 0.015, "not uniform: {h:?}");
         }
+    }
+
+    #[test]
+    fn one_rank_roulette_across_sizes_draws_as_fresh_ones() {
+        let shared = RankRoulette::new(1.7);
+        let mut rng = SearchRng::seed_from_u64(40);
+        let mut fresh_rng = SearchRng::seed_from_u64(40);
+        let mut check = |sel: &RankRoulette, n: usize| {
+            let pop = ranked(n);
+            for _ in 0..200 {
+                let fresh = RankRoulette::new(sel.pressure);
+                assert_eq!(sel.select(&pop, &mut rng), fresh.select(&pop, &mut fresh_rng), "n={n}");
+            }
+        };
+        for n in [10, 3, 10, 1, 7, 10, 2] {
+            check(&shared, n);
+        }
+        // A pressure changed through the public field is honored too.
+        let mut shared = shared;
+        shared.pressure = 1.2;
+        check(&shared, 10);
+        assert_eq!(rng, fresh_rng, "the shared selector drew a different number of words");
     }
 
     #[test]

@@ -297,7 +297,8 @@ fn crossover_conserves_gene_pool() {
             Box::new(UniformCrossover::default()),
         ];
         for op in &ops {
-            let (ca, cb) = op.crossover(&a, &b, &space, &OpCtx::new(0, 1), rng);
+            let (mut ca, mut cb) = (a.clone(), b.clone());
+            op.crossover(&mut ca, &mut cb, &space, &OpCtx::new(0, 1), rng);
             assert!(space.contains(&ca));
             assert!(space.contains(&cb));
             for i in 0..a.len() {

@@ -169,6 +169,27 @@ fn cancelling_a_running_job_parks_it_as_cancelled() {
 }
 
 #[test]
+fn a_huge_generation_count_runs_to_its_deadline_and_the_daemon_lives_on() {
+    // Nothing in admission bounds `generations`, so the engine must not
+    // reserve memory in proportion to it: the job ends at its deadline.
+    let dir = tempdir("huge-generations");
+    let daemon = Daemon::start(DaemonConfig::new(&dir)).unwrap();
+    let client = ServeClient::from_state_dir(&dir).unwrap();
+    let mut s = spec("bowl", "baseline", 1, 1);
+    s.generations = u32::MAX;
+    s.deadline_ms = 300;
+    let job = client.submit(&s).unwrap().expect("admitted");
+    let reply = client.wait_result(job, Duration::from_secs(60)).unwrap();
+    let (outcome, _, _) = digest(&reply);
+    assert!(outcome.contains(r#""stop":"deadline_exceeded""#), "{outcome}");
+    let (phase, detail) = client.status(job).unwrap();
+    assert_eq!((phase, detail.as_str()), (JobPhase::Done, "stop: deadline_exceeded"));
+    assert_eq!(client.ping().unwrap(), 1, "the daemon must still answer");
+    daemon.drain_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn drained_jobs_are_adopted_and_finish_byte_identically() {
     let dir = tempdir("drain-park");
     let quota = TenantQuota::default();

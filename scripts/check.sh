@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Offline pre-commit gate: replay, tool-farm and daemon-sweep outcome
-# digests, the benchmark's own tests, pinned chaos digests, the std-only
-# workspace check, formatting, lints, rustdoc, tests.
+# digests, the benchmark's own tests, pinned chaos digests, pinned figure
+# and ablation CSVs, the std-only workspace check, formatting, lints,
+# rustdoc, tests.
 #
 # Usage: scripts/check.sh [--tsan]
 #
@@ -124,6 +125,21 @@ pin_chaos "1434149691 1033" --seed 2 --workers 1
 pin_chaos "4162035310 1033" --seed 3 --workers 1
 pin_chaos "559519685 1060" --storm hang --seed 1 --workers 1
 pin_chaos "2909936146 1061" --storm hang --seed 2 --workers 1
+
+echo "==> figure and ablation outputs: 13 CSVs pinned by cksum"
+# Every figure and ablation series, regenerated in a scratch directory;
+# a speed-only change must write them byte for byte. This is the only
+# end-to-end check of the guided crossover (abl-operators).
+cargo build -q --release --offline -p nautilus-bench --bin experiments
+EXPERIMENTS="$PWD/target/release/experiments"
+csvdir="$(mktemp -d)"
+got="$(export LC_ALL=C; cd "$csvdir" && "$EXPERIMENTS" all ablations >/dev/null \
+    && cat results/*.csv | cksum)"
+rm -rf "$csvdir"
+if [ "$got" != "2103943427 407172" ]; then
+    echo "experiments all ablations: expected CSV cksum '2103943427 407172', got '$got'" >&2
+    exit 1
+fi
 
 echo "==> std-only workspace: no registry dependencies"
 # Every package cargo resolves must come from this checkout (a null
