@@ -162,15 +162,6 @@ impl StrategyResult {
         self.outcomes.iter().map(|o| o.best_value).sum::<f64>() / self.outcomes.len() as f64
     }
 
-    /// Best objective value any run found.
-    #[must_use]
-    pub fn best_overall(&self, direction: Direction) -> f64 {
-        self.outcomes
-            .iter()
-            .map(|o| o.best_value)
-            .fold(direction.worst_value(), |a, b| direction.best_of(a, b))
-    }
-
     /// Mean distinct evaluations per run.
     #[must_use]
     pub fn mean_evals(&self) -> f64 {
@@ -292,11 +283,10 @@ pub fn compare(
 ///
 /// The observer sees one `RunStart`/`RunEnd` event pair per `(GA strategy,
 /// run)` cell; because cells execute in parallel, events from different
-/// runs interleave on the stream. Aggregating sinks like
-/// [`nautilus_obs::MetricsSink`] handle this natively; for per-run
-/// separation prefer [`crate::Nautilus::run_baseline_reported`] /
-/// `run_guided_reported` on individual runs. The non-GA strategies
-/// (random, annealing, hill climbing) are not event-instrumented.
+/// runs interleave on the stream. For per-run separation prefer
+/// [`crate::Nautilus::run_baseline_reported`] / `run_guided_reported` on
+/// individual runs. The non-GA strategies (random, annealing, hill
+/// climbing) are not event-instrumented.
 ///
 /// # Errors
 ///

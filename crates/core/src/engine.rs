@@ -19,6 +19,10 @@ use crate::hint::{Confidence, HintBook, HintSet};
 use crate::query::Query;
 use crate::trace::{SearchOutcome, TracePoint};
 
+/// The paper's per-gene mutation rate, for both the baseline and the
+/// guided mutation.
+const MUTATION_RATE: f64 = 0.1;
+
 /// Fitness adapter: query objective (with constraints) through a
 /// synthesis-job runner.
 struct QueryOverRunner<'r, 'm> {
@@ -59,7 +63,6 @@ impl FitnessFn for QueryOverRunner<'_, '_> {
 pub struct Nautilus<'m> {
     model: &'m dyn CostModel,
     settings: GaSettings,
-    mutation_rate: f64,
     guided_crossover: bool,
     observer: &'m dyn SearchObserver,
     retry: RetryPolicy,
@@ -68,7 +71,6 @@ pub struct Nautilus<'m> {
     supervision: Option<SupervisePolicy>,
     budget: RunBudget,
     checkpoint_dir: Option<PathBuf>,
-    checkpoint_keep_last: Option<usize>,
     checkpoint_io: DurableIo,
     tracer: Option<&'m Tracer>,
 }
@@ -78,7 +80,6 @@ impl std::fmt::Debug for Nautilus<'_> {
         f.debug_struct("Nautilus")
             .field("model", &self.model.name())
             .field("settings", &self.settings)
-            .field("mutation_rate", &self.mutation_rate)
             .field("guided_crossover", &self.guided_crossover)
             .field("observer_enabled", &self.observer.enabled())
             .field("retry", &self.retry)
@@ -87,7 +88,6 @@ impl std::fmt::Debug for Nautilus<'_> {
             .field("supervision", &self.supervision)
             .field("budget", &self.budget)
             .field("checkpoint_dir", &self.checkpoint_dir)
-            .field("checkpoint_keep_last", &self.checkpoint_keep_last)
             .field("checkpoint_io_instrumented", &self.checkpoint_io.is_instrumented())
             .field("traced", &self.tracer.is_some())
             .finish()
@@ -105,7 +105,6 @@ impl<'m> Nautilus<'m> {
         Nautilus {
             model,
             settings,
-            mutation_rate: 0.1,
             guided_crossover: false,
             observer: nautilus_obs::noop(),
             retry: RetryPolicy::default(),
@@ -114,7 +113,6 @@ impl<'m> Nautilus<'m> {
             supervision: None,
             budget: RunBudget::new(),
             checkpoint_dir: None,
-            checkpoint_keep_last: None,
             checkpoint_io: DurableIo::real(),
             tracer: None,
         }
@@ -142,13 +140,6 @@ impl<'m> Nautilus<'m> {
     #[must_use]
     pub fn with_settings(mut self, settings: GaSettings) -> Self {
         self.settings = settings;
-        self
-    }
-
-    /// Overrides the per-gene mutation rate (default 0.1).
-    #[must_use]
-    pub fn with_mutation_rate(mut self, rate: f64) -> Self {
-        self.mutation_rate = rate.clamp(0.0, 1.0);
         self
     }
 
@@ -269,15 +260,6 @@ impl<'m> Nautilus<'m> {
         self
     }
 
-    /// Overrides checkpoint retention: keep the newest `keep` generation
-    /// checkpoints (minimum 1) plus the pinned best-so-far record. The
-    /// store's default is 3.
-    #[must_use]
-    pub fn with_checkpoint_keep_last(mut self, keep: usize) -> Self {
-        self.checkpoint_keep_last = Some(keep);
-        self
-    }
-
     /// Routes checkpoint writes through `io`, the deterministic
     /// fault-injection / census handle of [`nautilus_ga::durable`]. The
     /// default is the pass-through real-filesystem handle; a hostile-
@@ -293,12 +275,6 @@ impl<'m> Nautilus<'m> {
     #[must_use]
     pub fn model(&self) -> &'m dyn CostModel {
         self.model
-    }
-
-    /// The engine's retry policy.
-    #[must_use]
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// The engine's GA settings.
@@ -664,7 +640,7 @@ impl<'m> Nautilus<'m> {
         let mut engine = GaEngine::new(self.model.space(), &fitness)
             .with_settings(self.settings)
             .with_selector(Box::new(RankRoulette::new(1.10)))
-            .with_mutation(Box::new(nautilus_ga::UniformMutation::new(self.mutation_rate)))
+            .with_mutation(Box::new(nautilus_ga::UniformMutation::new(MUTATION_RATE)))
             .with_observer(observer)
             .with_retry_policy(self.retry)
             .with_run_label(label)
@@ -672,12 +648,9 @@ impl<'m> Nautilus<'m> {
         let checkpoint_dir =
             resume.as_ref().map(|(_, dir)| *dir).or(self.checkpoint_dir.as_deref());
         if let Some(dir) = checkpoint_dir {
-            let mut store = CheckpointStore::create(dir)
+            let store = CheckpointStore::create(dir)
                 .map_err(GaError::from)?
                 .with_io(self.checkpoint_io.clone());
-            if let Some(keep) = self.checkpoint_keep_last {
-                store = store.with_keep_last(keep);
-            }
             engine = engine.with_checkpoints(store).with_checkpoint_aux(&aux);
         }
         if let Some(faulty) = &faulty {
@@ -691,7 +664,7 @@ impl<'m> Nautilus<'m> {
         }
         if let Some((hints, confidence)) = guidance {
             let mut guided = GuidedMutation::resolve(hints, self.model.space(), query.direction())?
-                .with_rate(self.mutation_rate);
+                .with_rate(MUTATION_RATE);
             if let Some(c) = confidence {
                 guided = guided.with_confidence(c.get());
             }
@@ -979,6 +952,10 @@ mod tests {
                 assert!(stats.contains_key(&Phase::BatchMerge));
             }
             assert_eq!(stats[&Phase::Run].count, 1);
+            // The tracer alone times the init and per-generation scoring.
+            let scorings = u64::from(engine.settings().generations) + 1;
+            assert_eq!(stats[&Phase::InitPopulation].count, 1, "at {workers} workers");
+            assert_eq!(stats[&Phase::Scoring].count, scorings, "at {workers} workers");
 
             // A zero-rate fault plan keeps the runner memo without
             // changing the search.
@@ -1012,7 +989,6 @@ mod tests {
                 )
             })
             .map(|e| match e {
-                E::SpanEnd { name, .. } => E::SpanEnd { name, nanos: 0 },
                 E::RunEnd { best_value, distinct_evals, .. } => {
                     E::RunEnd { best_value, distinct_evals, wall_nanos: 0 }
                 }
@@ -1021,13 +997,9 @@ mod tests {
             .collect()
     }
 
-    /// `report` with its wall-clock payloads zeroed.
+    /// `report` with its wall-clock payload zeroed.
     fn untimed(mut report: RunReport) -> RunReport {
         report.wall_nanos = 0;
-        for span in report.spans.values_mut() {
-            span.total_nanos = 0;
-            span.max_nanos = 0;
-        }
         report
     }
 

@@ -113,8 +113,8 @@ pub use trace::{average_traces, AvgTracePoint, ReachStats, SearchOutcome, TraceP
 /// [`InMemorySink`], and aggregate with [`ReportBuilder`] / [`RunReport`].
 pub use nautilus_obs as obs;
 pub use nautilus_obs::{
-    FailureKind, Fanout, FaultTally, InMemorySink, JsonlSink, MetricsRegistry, MetricsSink,
-    ReportBuilder, RunReport, SearchEvent, SearchObserver,
+    FailureKind, Fanout, FaultTally, InMemorySink, JsonlSink, ReportBuilder, RunReport,
+    SearchEvent, SearchObserver,
 };
 
 /// Fault-tolerant evaluation, re-exported from `nautilus-ga` /

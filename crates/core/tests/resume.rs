@@ -76,16 +76,15 @@ fn tempdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Event-stream digest ignoring span timings, terminal markers, and the
-/// durability events that only interrupted/resumed runs emit.
+/// Event-stream digest ignoring terminal markers and the durability
+/// events that only interrupted/resumed runs emit.
 fn strip(events: &[SearchEvent]) -> Vec<String> {
     events
         .iter()
         .filter(|e| {
             !matches!(
                 e,
-                SearchEvent::SpanEnd { .. }
-                    | SearchEvent::RunEnd { .. }
+                SearchEvent::RunEnd { .. }
                     | SearchEvent::EvalBatch { .. }
                     | SearchEvent::CheckpointWritten { .. }
                     | SearchEvent::CheckpointRestored { .. }
@@ -99,10 +98,9 @@ fn strip(events: &[SearchEvent]) -> Vec<String> {
 }
 
 /// Blanks out the fields a resume is allowed to differ in: wall-clock
-/// timings, process-local span stats, and the durability block itself.
+/// time and the durability block itself.
 fn normalize(mut report: RunReport) -> RunReport {
     report.wall_nanos = 0;
-    report.spans.clear();
     report.durability = Default::default();
     report
 }

@@ -356,12 +356,6 @@ impl<'a> GaEngine<'a> {
         self
     }
 
-    /// The engine's retry policy.
-    #[must_use]
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// The engine's scalar settings.
     #[must_use]
     pub fn settings(&self) -> &GaSettings {
@@ -530,53 +524,50 @@ impl<'a> GaEngine<'a> {
             let mut init_pop: Vec<Genome> = Vec::with_capacity(self.settings.population);
             let max_attempts = self.settings.population * self.settings.init_retries;
             attempts = 0;
-            {
-                let _span = nautilus_obs::span(obs, "init_population");
-                let init_start = rec.as_ref().map(SpanRecorder::begin);
-                while init_pop.len() < self.settings.population {
-                    if attempts >= max_attempts {
-                        if init_pop.is_empty() {
-                            return Err(GaError::NoFeasibleGenome { attempts });
-                        }
-                        fill_partial(&mut init_pop, self.settings.population);
-                        break;
+            let init_start = rec.as_ref().map(SpanRecorder::begin);
+            while init_pop.len() < self.settings.population {
+                if attempts >= max_attempts {
+                    if init_pop.is_empty() {
+                        return Err(GaError::NoFeasibleGenome { attempts });
                     }
-                    if workers <= 1 {
-                        attempts += 1;
-                        let g = self.space.random_genome(&mut rng);
-                        if self.eval_into_cache(&mut cache, &g, &mut faults, &mut rec).is_some() {
-                            init_pop.push(g);
-                        }
-                    } else {
-                        // A round of draws the serial loop makes too: a
-                        // draw adds at most one feasible genome, so it
-                        // would keep drawing through the whole round. The
-                        // RNG stream, evaluation order and counters stay
-                        // the serial loop's; the round is unsupervised.
-                        let round_len = (self.settings.population - init_pop.len())
-                            .min(max_attempts - attempts);
-                        attempts += round_len;
-                        let round: Vec<Genome> =
-                            (0..round_len).map(|_| self.space.random_genome(&mut rng)).collect();
-                        let rows = PopArena::from_genomes(&round);
-                        let misses = self.collect_misses(&rows, &mut cache, None, &mut rec);
-                        let raws = self.score_batched(
-                            &rows,
-                            misses,
-                            &mut cache,
-                            &mut faults,
-                            workers,
-                            None,
-                            &pool,
-                            &mut rec,
-                        );
-                        let feasible = round.into_iter().zip(raws).filter(|(_, raw)| raw.is_some());
-                        init_pop.extend(feasible.map(|(g, _)| g));
+                    fill_partial(&mut init_pop, self.settings.population);
+                    break;
+                }
+                if workers <= 1 {
+                    attempts += 1;
+                    let g = self.space.random_genome(&mut rng);
+                    if self.eval_into_cache(&mut cache, &g, &mut faults, &mut rec).is_some() {
+                        init_pop.push(g);
                     }
+                } else {
+                    // A round of draws the serial loop makes too: a
+                    // draw adds at most one feasible genome, so it
+                    // would keep drawing through the whole round. The
+                    // RNG stream, evaluation order and counters stay
+                    // the serial loop's; the round is unsupervised.
+                    let round_len =
+                        (self.settings.population - init_pop.len()).min(max_attempts - attempts);
+                    attempts += round_len;
+                    let round: Vec<Genome> =
+                        (0..round_len).map(|_| self.space.random_genome(&mut rng)).collect();
+                    let rows = PopArena::from_genomes(&round);
+                    let misses = self.collect_misses(&rows, &mut cache, None, &mut rec);
+                    let raws = self.score_batched(
+                        &rows,
+                        misses,
+                        &mut cache,
+                        &mut faults,
+                        workers,
+                        None,
+                        &pool,
+                        &mut rec,
+                    );
+                    let feasible = round.into_iter().zip(raws).filter(|(_, raw)| raw.is_some());
+                    init_pop.extend(feasible.map(|(g, _)| g));
                 }
-                if let (Some(r), Some(start)) = (rec.as_mut(), init_start) {
-                    r.end(Phase::InitPopulation, start);
-                }
+            }
+            if let (Some(r), Some(start)) = (rec.as_mut(), init_start) {
+                r.end(Phase::InitPopulation, start);
             }
             population = PopArena::from_genomes(&init_pop);
             history = Vec::with_capacity(scorings.min(RESERVE_LIMIT));
@@ -597,7 +588,6 @@ impl<'a> GaEngine<'a> {
                 obs.on_event(&SearchEvent::GenerationStart { generation });
             }
             // Score the population (cache makes revisits free).
-            let scoring_span = nautilus_obs::span(obs, "scoring");
             let scoring_start = rec.as_ref().map(SpanRecorder::begin);
             if self.supervisor.is_none() && workers <= 1 {
                 // One unsupervised worker scores inline: no miss list, no
@@ -653,7 +643,6 @@ impl<'a> GaEngine<'a> {
             if let (Some(r), Some(start)) = (rec.as_mut(), scoring_start) {
                 r.end(Phase::Scoring, start);
             }
-            drop(scoring_span);
 
             let feasible = || {
                 scored.iter().filter(|s| s.score.is_finite()).map(|s| direction.from_score(s.score))
@@ -696,7 +685,6 @@ impl<'a> GaEngine<'a> {
             }
 
             // Breed the next generation.
-            let _breeding_span = nautilus_obs::span(obs, "breeding");
             let ctx = OpCtx::with_observer(generation, self.settings.generations, obs);
             // Children are written into the arena's next-generation buffer
             // and promoted by one allocation-free swap at the end.
@@ -738,7 +726,6 @@ impl<'a> GaEngine<'a> {
                 }
             }
             population.swap();
-            drop(_breeding_span);
 
             // --- Generation boundary: checkpoint, then budget check -------
             let next_generation = generation + 1;
@@ -1193,15 +1180,14 @@ mod tests {
         })
     }
 
-    /// Drops `EvalBatch` markers and zeroes wall-clock payloads (span
-    /// durations, run wall time), which legitimately differ between runs;
-    /// everything else must be byte-identical.
+    /// Drops `EvalBatch` markers and zeroes the run's wall time, which
+    /// legitimately differs between runs; everything else must be
+    /// byte-identical.
     fn normalize(events: Vec<SearchEvent>) -> Vec<SearchEvent> {
         events
             .into_iter()
             .filter(|e| !matches!(e, SearchEvent::EvalBatch { .. }))
             .map(|e| match e {
-                SearchEvent::SpanEnd { name, .. } => SearchEvent::SpanEnd { name, nanos: 0 },
                 SearchEvent::RunEnd { best_value, distinct_evals, .. } => {
                     SearchEvent::RunEnd { best_value, distinct_evals, wall_nanos: 0 }
                 }
@@ -1394,10 +1380,6 @@ mod tests {
         assert!(mutations > 0, "a 10-generation run should mutate something");
         assert!(events.iter().any(|e| matches!(e, E::SelectionInvoked { .. })));
         assert!(events.iter().any(|e| matches!(e, E::CrossoverApplied { .. })));
-        assert!(
-            events.iter().any(|e| matches!(e, E::SpanEnd { name: "scoring", .. })),
-            "scoring spans should close"
-        );
     }
 
     #[test]

@@ -93,8 +93,7 @@ fn faulty_runs_emit_identical_event_streams_across_worker_counts() {
             .filter(|e| {
                 !matches!(
                     e,
-                    nautilus_obs::SearchEvent::SpanEnd { .. }
-                        | nautilus_obs::SearchEvent::RunEnd { .. }
+                    nautilus_obs::SearchEvent::RunEnd { .. }
                         | nautilus_obs::SearchEvent::EvalBatch { .. }
                 )
             })

@@ -38,8 +38,7 @@ fn strip(events: &[SearchEvent]) -> Vec<String> {
         .filter(|e| {
             !matches!(
                 e,
-                SearchEvent::SpanEnd { .. }
-                    | SearchEvent::RunEnd { .. }
+                SearchEvent::RunEnd { .. }
                     | SearchEvent::EvalBatch { .. }
                     | SearchEvent::CheckpointWritten { .. }
                     | SearchEvent::CheckpointRestored { .. }

@@ -198,7 +198,7 @@ pub enum SearchEvent {
     /// A synthesis-job memo lost an insert race: two threads evaluated the
     /// same point concurrently and the second to insert found the entry
     /// already present. The name and its JSONL kind stay as they were so
-    /// report and metrics consumers see no change.
+    /// report consumers see no change.
     CacheShardContended,
     /// One evaluation attempt failed.
     ///
@@ -276,13 +276,6 @@ pub enum SearchEvent {
     ParetoUpdated {
         /// Number of non-dominated points in the updated front.
         size: usize,
-    },
-    /// A scoped timer closed.
-    SpanEnd {
-        /// Span name ("init_population", "scoring", "breeding", ...).
-        name: &'static str,
-        /// Elapsed wall-clock nanoseconds.
-        nanos: u64,
     },
     /// The run finished.
     RunEnd {
@@ -520,7 +513,6 @@ impl SearchEvent {
             SearchEvent::CrossoverApplied { .. } => "crossover_applied",
             SearchEvent::SelectionInvoked { .. } => "selection_invoked",
             SearchEvent::ParetoUpdated { .. } => "pareto_updated",
-            SearchEvent::SpanEnd { .. } => "span_end",
             SearchEvent::RunEnd { .. } => "run_end",
             SearchEvent::CheckpointWritten { .. } => "checkpoint_written",
             SearchEvent::CheckpointRestored { .. } => "checkpoint_restored",
@@ -627,9 +619,6 @@ impl SearchEvent {
             }
             SearchEvent::ParetoUpdated { size } => {
                 o.u64("size", *size as u64);
-            }
-            SearchEvent::SpanEnd { name, nanos } => {
-                o.str("name", name).u64("nanos", *nanos);
             }
             SearchEvent::RunEnd { best_value, distinct_evals, wall_nanos } => {
                 o.f64("best_value", *best_value)
@@ -771,7 +760,6 @@ mod tests {
             SearchEvent::CrossoverApplied { generation: 3, kind: "one-point".into() },
             SearchEvent::SelectionInvoked { generation: 3, kind: "tournament".into() },
             SearchEvent::ParetoUpdated { size: 4 },
-            SearchEvent::SpanEnd { name: "scoring", nanos: 12345 },
             SearchEvent::RunEnd { best_value: 1.5, distinct_evals: 204, wall_nanos: 1 },
             SearchEvent::CheckpointWritten {
                 generation: 12,

@@ -5,30 +5,26 @@
 //! between "run the search" and a final `SearchOutcome`. This crate makes
 //! the inside visible without adding any external dependency (the build
 //! environment is offline): std atomics, `Mutex`, and a hand-rolled JSON
-//! emitter are the whole footprint. Four pillars:
+//! emitter are the whole footprint. Three pillars:
 //!
-//! 1. **Metrics registry** ([`MetricsRegistry`]) — lock-free [`Counter`]s,
-//!    [`Gauge`]s and fixed-bucket [`Histogram`]s with a cheap
-//!    [`MetricsRegistry::snapshot`]. [`MetricsSink`] folds the event
-//!    stream into a registry (evals, cache hits, infeasible attempts,
-//!    mutations per parameter, hint applications by kind, ...).
-//! 2. **Structured event bus** — the [`SearchObserver`] trait receives
-//!    typed [`SearchEvent`]s; [`span()`] gives span-style scoped timers.
-//!    The default [`noop`] observer reports itself disabled so emitters
-//!    pay one predictable branch and never allocate. [`JsonlSink`]
-//!    streams events as JSON Lines; [`InMemorySink`] buffers them for
-//!    tests; [`Fanout`] broadcasts to several observers at once.
-//! 3. **Per-run reports** — [`ReportBuilder`] aggregates one run's events
-//!    into a [`RunReport`] (per-generation hint/decay/cache dynamics plus
-//!    whole-run tallies) that serializes to a summary JSON document.
-//! 4. **Time-attribution profiling** — a [`Tracer`] collects per-thread
-//!    [`Phase`] span timelines through buffered [`SpanRecorder`]s (flushed
-//!    only at deterministic merge points, so tracing never perturbs a
-//!    search), exports Chrome/Perfetto trace JSON via [`TraceSink`], and
-//!    aggregates [`Tracer::phase_stats`] for the report's `phases` block.
-//!    [`BatchEventBuffer`] / [`capture_events`] defer worker-side events
-//!    to the same merge points so parallel event streams replay exactly
-//!    like serial ones.
+//! 1. **Structured event bus** — the [`SearchObserver`] trait receives
+//!    typed [`SearchEvent`]s. The default [`noop`] observer reports
+//!    itself disabled so emitters pay one predictable branch and never
+//!    allocate. [`JsonlSink`] streams events as JSON Lines;
+//!    [`InMemorySink`] buffers them for tests; [`Fanout`] broadcasts to
+//!    several observers at once.
+//! 2. **Per-run reports** — [`ReportBuilder`], the one fold of the event
+//!    stream, aggregates one run's events into a [`RunReport`]
+//!    (per-generation hint/decay/cache dynamics plus whole-run tallies)
+//!    that serializes to a summary JSON document.
+//! 3. **Time-attribution profiling** — a [`Tracer`], the one timer,
+//!    collects per-thread [`Phase`] span timelines through buffered
+//!    [`SpanRecorder`]s (flushed only at deterministic merge points, so
+//!    tracing never perturbs a search), exports Chrome/Perfetto trace
+//!    JSON via [`TraceSink`], and aggregates [`Tracer::phase_stats`] for
+//!    the report's `phases` block. [`BatchEventBuffer`] /
+//!    [`capture_events`] defer worker-side events to the same merge
+//!    points so parallel event streams replay exactly like serial ones.
 //!
 //! A typical instrumented run fans a streaming sink and a report builder
 //! out to the same engine:
@@ -53,7 +49,6 @@
 pub mod buffer;
 pub mod event;
 pub mod json;
-pub mod metrics;
 pub mod observer;
 pub mod report;
 pub mod sink;
@@ -62,13 +57,10 @@ pub mod wire;
 
 pub use buffer::{capture_events, BatchEventBuffer};
 pub use event::{FailureKind, HealthState, HintKind, SearchEvent};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSink, MetricsSnapshot,
-};
-pub use observer::{noop, span, Fanout, NoopObserver, SearchObserver, SpanGuard};
+pub use observer::{noop, Fanout, NoopObserver, SearchObserver};
 pub use report::{
     DurabilityTally, EdgeTally, EvalTally, FaultTally, GenerationTelemetry, HealthTally, HintTally,
-    ReportBuilder, RunReport, ServiceTally, SpanStat, SubprocessTally,
+    ReportBuilder, RunReport, ServiceTally, SubprocessTally,
 };
 pub use sink::{InMemorySink, JsonlSink};
 pub use span::{Phase, PhaseStat, SpanRecord, SpanRecorder, SpanStart, TraceSink, Tracer};

@@ -1,7 +1,5 @@
-//! The [`SearchObserver`] trait, the no-op default, fan-out composition
-//! and span-style scoped timers.
-
-use std::time::Instant;
+//! The [`SearchObserver`] trait, the no-op default and fan-out
+//! composition.
 
 use crate::event::SearchEvent;
 
@@ -94,41 +92,6 @@ impl SearchObserver for Fanout<'_> {
     }
 }
 
-/// A scoped wall-clock timer: emits [`SearchEvent::SpanEnd`] on drop.
-///
-/// Created by [`span`]. When the observer is disabled the guard is inert
-/// (no clock read, no event).
-#[must_use = "a span measures until it is dropped"]
-pub struct SpanGuard<'a> {
-    observer: &'a dyn SearchObserver,
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-impl std::fmt::Debug for SpanGuard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanGuard").field("name", &self.name).finish()
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.observer.on_event(&SearchEvent::SpanEnd { name: self.name, nanos });
-        }
-    }
-}
-
-/// Opens a scoped timer named `name` against `observer`.
-pub fn span<'a>(observer: &'a dyn SearchObserver, name: &'static str) -> SpanGuard<'a> {
-    SpanGuard {
-        observer,
-        name,
-        start: if observer.enabled() { Some(Instant::now()) } else { None },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,27 +115,5 @@ mod tests {
         assert_eq!(b.len(), 1);
         let only_noop = Fanout::new(vec![noop()]);
         assert!(!only_noop.enabled());
-    }
-
-    #[test]
-    fn span_emits_one_span_end_event() {
-        let sink = InMemorySink::new();
-        {
-            let _g = span(&sink, "scoring");
-            std::hint::black_box(17 * 3);
-        }
-        let events = sink.events();
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            SearchEvent::SpanEnd { name, .. } => assert_eq!(*name, "scoring"),
-            other => panic!("unexpected event {other:?}"),
-        }
-    }
-
-    #[test]
-    fn span_against_disabled_observer_is_inert() {
-        let g = span(noop(), "idle");
-        assert!(g.start.is_none());
-        drop(g);
     }
 }

@@ -160,35 +160,6 @@ impl EvalTally {
     }
 }
 
-/// Aggregated wall-clock time for one span name.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Number of times the span closed.
-    pub count: u64,
-    /// Total nanoseconds across closings.
-    pub total_nanos: u64,
-    /// Longest single closing.
-    pub max_nanos: u64,
-}
-
-impl SpanStat {
-    fn record(&mut self, nanos: u64) {
-        self.count += 1;
-        self.total_nanos += nanos;
-        self.max_nanos = self.max_nanos.max(nanos);
-    }
-
-    /// Serializes as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.u64("count", self.count)
-            .u64("total_nanos", self.total_nanos)
-            .u64("max_nanos", self.max_nanos);
-        o.finish()
-    }
-}
-
 /// One generation's slice of the run telemetry.
 ///
 /// Scoring fields (`best`, `mean`, cumulative cache counters, `evals`)
@@ -509,8 +480,9 @@ impl EdgeTally {
 /// # Schema version history
 ///
 /// Downstream consumers should branch on the top-level `schema_version`
-/// field. Versions only ever *add* fields, so a consumer of version `n`
-/// can read any later report by ignoring unknown keys:
+/// field. Versions only ever *add* fields (v10 empties one, keeping its
+/// key), so a consumer of version `n` can read any later report by
+/// ignoring unknown keys:
 ///
 /// * **v1** — initial schema: `strategy`, `seed`, `params`, `population`,
 ///   `generation_budget`, `best_value`, `distinct_evals`, `wall_nanos`,
@@ -551,6 +523,11 @@ impl EdgeTally {
 ///   shed at the cap, stalled connections closed at their deadline,
 ///   accept-loop backoffs, and dedupe-key duplicate submissions). All
 ///   zero on healthy plain runs. All v8 fields are unchanged.
+/// * **v10** — `spans` is always `{}`: the scoped `span_end` timers that
+///   filled it are gone, and the run's [`crate::Tracer`] times the same
+///   work in the `phases` block (`init_population`, `scoring`, and
+///   `selection`/`crossover`/`mutation` for breeding). The key stays so
+///   v1–v9 consumers still find it. All other v9 fields are unchanged.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Strategy label from [`SearchEvent::RunStart`].
@@ -601,8 +578,6 @@ pub struct RunReport {
     pub edge: EdgeTally,
     /// Per-generation telemetry, in generation order.
     pub generations: Vec<GenerationTelemetry>,
-    /// Aggregated span timings by span name.
-    pub spans: BTreeMap<&'static str, SpanStat>,
     /// Per-phase time attribution from the run's [`crate::Tracer`]
     /// (empty when the run was not traced).
     pub phases: BTreeMap<Phase, PhaseStat>,
@@ -612,10 +587,6 @@ impl RunReport {
     /// Serializes the full report as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut spans = JsonObj::new();
-        for (name, stat) in &self.spans {
-            spans.raw(name, &stat.to_json());
-        }
         let gen_rows: Vec<String> = self.generations.iter().map(|g| g.to_json()).collect();
         let mut phases = JsonObj::new();
         for (phase, stat) in &self.phases {
@@ -628,7 +599,7 @@ impl RunReport {
             phases.raw(phase.label(), &p.finish());
         }
         let mut o = JsonObj::new();
-        o.u64("schema_version", 9)
+        o.u64("schema_version", 10)
             .str("strategy", &self.strategy)
             .u64("seed", self.seed)
             .arr_str("params", &self.params)
@@ -652,7 +623,8 @@ impl RunReport {
             .raw("service", &self.service.to_json())
             .raw("edge", &self.edge.to_json())
             .arr_raw("generations", &gen_rows)
-            .raw("spans", &spans.finish())
+            // Kept, always empty, for v1–v9 readers.
+            .raw("spans", "{}")
             .raw("phases", &phases.finish());
         o.finish()
     }
@@ -736,12 +708,10 @@ impl ReportBuilder {
     /// Serializes the builder's accumulated state so a resumed process can
     /// carry the report forward with [`ReportBuilder::restore_bytes`].
     ///
-    /// Span timings are deliberately *excluded*: span names are
-    /// `&'static str` keys owned by the recording process, and wall-clock
-    /// spans from a dead process are not meaningful to splice into a new
-    /// one. Phase attribution is excluded for the same reason — it is
-    /// re-attached from the live [`crate::Tracer`] at the end of a traced
-    /// run. Everything else — whole-run tallies, per-generation rows, the
+    /// Phase attribution is deliberately *excluded*: wall-clock spans
+    /// from a dead process are not meaningful to splice into a new one,
+    /// and the block is re-attached from the live [`crate::Tracer`] at the
+    /// end of a traced run. Everything else — whole-run tallies, per-generation rows, the
     /// durability block — round-trips exactly.
     ///
     /// # Panics
@@ -1078,9 +1048,6 @@ impl SearchObserver for ReportBuilder {
                 state.row(*generation).selections += 1;
             }
             SearchEvent::ParetoUpdated { .. } => state.report.pareto_updates += 1,
-            SearchEvent::SpanEnd { name, nanos } => {
-                state.report.spans.entry(name).or_default().record(*nanos);
-            }
             SearchEvent::RunEnd { best_value, distinct_evals, wall_nanos } => {
                 state.report.best_value = *best_value;
                 state.report.distinct_evals = *distinct_evals;
@@ -1246,8 +1213,6 @@ mod tests {
                     retryable: false,
                 },
                 SearchEvent::GenomeQuarantined { attempts: 1, kind: FailureKind::Persistent },
-                SearchEvent::SpanEnd { name: "scoring", nanos: 500 },
-                SearchEvent::SpanEnd { name: "scoring", nanos: 700 },
                 SearchEvent::RunEnd { best_value: 5.0, distinct_evals: 1, wall_nanos: 9000 },
             ],
         );
@@ -1288,11 +1253,6 @@ mod tests {
         assert_eq!(g0.hints.count_of(HintKind::Fallback), 1);
         assert_eq!(g0.crossovers, 1);
         assert_eq!(g0.selections, 1);
-
-        let scoring = report.spans["scoring"];
-        assert_eq!(scoring.count, 2);
-        assert_eq!(scoring.total_nanos, 1200);
-        assert_eq!(scoring.max_nanos, 700);
     }
 
     #[test]
@@ -1323,7 +1283,7 @@ mod tests {
         );
         let json = builder.finish().to_json();
         assert!(is_valid_json(&json), "invalid report json: {json}");
-        assert!(json.contains("\"schema_version\":9"));
+        assert!(json.contains("\"schema_version\":10"));
         assert!(json.contains("\"eval_batches\":0"));
         assert!(json.contains("\"durable_write_failures\":0"));
         assert!(json.contains("\"conns_shed\":0"));
@@ -1417,7 +1377,7 @@ mod tests {
         );
         builder.attach_phases(phases);
         let parsed = parse_json(&builder.finish().to_json()).unwrap();
-        assert_eq!(parsed.get("schema_version").and_then(JsonValue::as_u64), Some(9));
+        assert_eq!(parsed.get("schema_version").and_then(JsonValue::as_u64), Some(10));
         // The complete v6 surface, unchanged.
         for key in [
             "strategy",
@@ -1444,6 +1404,9 @@ mod tests {
         ] {
             assert!(parsed.get(key).is_some(), "v6 key `{key}` missing from v8 report");
         }
+        // Since v10 the `spans` key stays for older consumers and is empty.
+        let spans = parsed.get("spans").and_then(JsonValue::as_obj);
+        assert_eq!(spans.map(<[_]>::len), Some(0), "spans must be an empty object");
         // The v7 addition is a well-formed subprocess block.
         let sub = parsed.get("subprocess").expect("subprocess block");
         assert_eq!(sub.get("spawned").and_then(JsonValue::as_u64), Some(0));

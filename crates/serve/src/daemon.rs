@@ -240,12 +240,6 @@ impl Daemon {
         self.addr
     }
 
-    /// True once a drain was requested (signal, frame, or API).
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.shared.drain.load(Ordering::Acquire)
-    }
-
     /// Snapshot of the job-lifecycle tally for this incarnation.
     #[must_use]
     pub fn service_tally(&self) -> ServiceTally {
@@ -777,8 +771,13 @@ fn worker_loop(shared: &Arc<Shared>) {
                 state = shared.work.wait(state).expect("daemon state lock");
             }
         };
-        let Some((id, spec, dir, cancel)) = claimed else { return };
+        let Some((id, mut spec, dir, cancel)) = claimed else { return };
         shared.emit(&SearchEvent::JobStarted { job: id });
+        // A job that asked for no deadline runs under the tenant's
+        // ceiling; the persisted spec keeps what was submitted.
+        if spec.deadline_ms == 0 {
+            spec.deadline_ms = shared.cfg.quota.max_deadline_ms;
+        }
         let result = catch_unwind(AssertUnwindSafe(|| runner::execute(&spec, &dir, &cancel)));
         finish_job(shared, id, &spec, &dir, result);
     }

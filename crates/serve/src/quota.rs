@@ -16,7 +16,9 @@ pub struct TenantQuota {
     /// Largest distinct-evaluation budget a single job may request; a
     /// spec with `max_evals == 0` (unlimited) is clamped to this.
     pub max_evals: u64,
-    /// Longest deadline a single job may request, milliseconds.
+    /// Longest deadline a single job may request, milliseconds. A job
+    /// that requests none (`deadline_ms == 0`) runs under this one; its
+    /// persisted spec keeps the 0 it was submitted with.
     pub max_deadline_ms: u64,
 }
 

@@ -223,15 +223,14 @@ fn artifacts(outcome: &SearchOutcome, report: RunReport, events: Vec<String>) ->
     }
 }
 
-/// The event kinds a resume is allowed to differ in: span/run timings and
+/// The event kinds a resume is allowed to differ in: the run's timing and
 /// the durability machinery itself. Mirrors the engine's resume tests.
 fn is_durability_event(line: &str) -> bool {
     let Ok(value) = parse_json(line) else { return false };
     let Some(kind) = value.get("type").and_then(JsonValue::as_str) else { return false };
     matches!(
         kind,
-        "span_end"
-            | "run_end"
+        "run_end"
             | "eval_batch"
             | "checkpoint_written"
             | "checkpoint_restored"
@@ -244,7 +243,6 @@ fn is_durability_event(line: &str) -> bool {
 /// Blanks the report fields a resume is allowed to differ in.
 fn normalize_report(mut report: RunReport) -> RunReport {
     report.wall_nanos = 0;
-    report.spans.clear();
     report.durability = Default::default();
     report
 }

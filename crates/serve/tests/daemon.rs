@@ -190,6 +190,27 @@ fn a_huge_generation_count_runs_to_its_deadline_and_the_daemon_lives_on() {
 }
 
 #[test]
+fn a_job_with_no_deadline_runs_under_the_tenant_deadline_ceiling() {
+    // Asking for no deadline must not escape `max_deadline_ms`: this job
+    // would otherwise hold its slot for practically ever.
+    let dir = tempdir("no-deadline");
+    let mut cfg = DaemonConfig::new(&dir);
+    cfg.quota.max_deadline_ms = 300;
+    let daemon = Daemon::start(cfg).unwrap();
+    let client = ServeClient::from_state_dir(&dir).unwrap();
+    let mut s = spec("bowl", "baseline", 1, 1);
+    s.generations = u32::MAX;
+    s.deadline_ms = 0;
+    let job = client.submit(&s).unwrap().expect("admitted");
+    let reply = client.wait_result(job, Duration::from_secs(20)).unwrap();
+    let (outcome, _, _) = digest(&reply);
+    assert!(outcome.contains(r#""stop":"deadline_exceeded""#), "{outcome}");
+    assert_eq!(client.ping().unwrap(), 1, "the daemon must still answer");
+    daemon.drain_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn drained_jobs_are_adopted_and_finish_byte_identically() {
     let dir = tempdir("drain-park");
     let quota = TenantQuota::default();

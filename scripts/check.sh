@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Offline pre-commit gate: replay, tool-farm and daemon-sweep outcome
 # digests, the benchmark's own tests, pinned chaos digests, pinned figure
-# and ablation CSVs, the std-only workspace check, formatting, lints,
-# rustdoc, tests.
+# and ablation CSVs, the std-only workspace check, the public-surface
+# gate (scripts/pub-allowlist.txt), formatting, lints, rustdoc, tests.
 #
 # Usage: scripts/check.sh [--tsan]
 #
@@ -34,6 +34,50 @@ require_tests() {
         echo "no test matched the filter: $*" >&2
         return 1
     fi
+}
+
+# Prints "path name" for each `pub fn|struct|enum|trait|type|const|static`
+# declared in crates/*/src whose name appears nowhere else in non-test
+# code: crates/*/src, examples/ and perfbench/src, without `#[cfg(test)]`
+# items (a braced item ends at the `}` on its own indentation) and without
+# the files that a `#[cfg(test)] mod name;` pulls in. The scan goes by
+# name, so a name declared twice, or mentioned in any comment, passes.
+pub_surface() {
+    local testfiles files
+    testfiles="$(grep -rn -A1 --include='*.rs' '^ *#\[cfg(test)\]$' crates/*/src \
+        | sed -nE 's#^(.*/)[^/]*\.rs-[0-9]+- *(pub(\([a-z]+\))? )?mod ([a-z_0-9]+);$#\1\4.rs#p')"
+    mapfile -t files < <(find crates/*/src examples perfbench/src -name '*.rs' | LC_ALL=C sort \
+        | grep -vxF -f <(printf '%s\n' "${testfiles:-/dev/null}"))
+    awk '
+        BEGIN { decl = "^ *pub (const fn|unsafe fn|fn|struct|enum|trait|type|const|static) +[A-Za-z_][A-Za-z0-9_]*" }
+        FNR == 1 { skip = 0; pending = 0 }
+        skip {
+            if ($0 ~ "^" indent "};?$") skip = 0
+            next
+        }
+        /^ *#\[cfg\(test\)\]$/ { pending = 1; next }
+        pending && /^ *#\[/ { next }
+        pending {
+            pending = 0
+            if ($0 !~ /;$/ && $0 !~ /\{\}$/) {
+                indent = $0
+                sub(/[^ ].*$/, "", indent)
+                skip = 1
+            }
+            next
+        }
+        {
+            line = $0
+            if (FILENAME ~ /^crates\/[^\/]+\/src\// && match(line, decl)) {
+                n = split(substr(line, RSTART, RLENGTH), words, / +/)
+                declared[FILENAME " " words[n]] = words[n]
+            }
+            gsub(/[^A-Za-z0-9_]+/, " ", line)
+            n = split(line, tokens, " ")
+            for (i = 1; i <= n; i++) seen[tokens[i]]++
+        }
+        END { for (item in declared) if (seen[declared[item]] == 1) print item }
+    ' "${files[@]}" | LC_ALL=C sort
 }
 
 if [ "${1:-}" = "--tsan" ]; then
@@ -153,6 +197,25 @@ sources="$(grep -o '"source":"[^"]*"' <<< "$meta" | sort -u || true)"
 if [ -n "$sources" ]; then
     echo "the workspace resolves packages from outside this checkout:" >&2
     printf '%s\n' "$sources" >&2
+    exit 1
+fi
+
+echo "==> public surface: every pub item has a non-test reference or an allowlist line"
+# A new unreferenced item fails, and so does an allowlist line the scan no
+# longer prints, so scripts/pub-allowlist.txt can only shrink.
+surface="$(pub_surface)"
+allowed="$(grep -v '^#' scripts/pub-allowlist.txt | LC_ALL=C sort)"
+added="$(LC_ALL=C comm -23 <(printf '%s\n' "$surface") <(printf '%s\n' "$allowed"))"
+stale="$(LC_ALL=C comm -13 <(printf '%s\n' "$surface") <(printf '%s\n' "$allowed"))"
+if [ -n "$added" ] || [ -n "$stale" ]; then
+    if [ -n "$added" ]; then
+        echo "pub items with no non-test reference (use them, narrow them or delete them):" >&2
+        sed 's/^/  /' <<< "$added" >&2
+    fi
+    if [ -n "$stale" ]; then
+        echo "scripts/pub-allowlist.txt lines the scan no longer prints (delete them):" >&2
+        sed 's/^/  /' <<< "$stale" >&2
+    fi
     exit 1
 fi
 

@@ -58,7 +58,6 @@ fn normalize(events: Vec<SearchEvent>) -> Vec<SearchEvent> {
             )
         })
         .map(|e| match e {
-            SearchEvent::SpanEnd { name, .. } => SearchEvent::SpanEnd { name, nanos: 0 },
             SearchEvent::RunEnd { best_value, distinct_evals, .. } => {
                 SearchEvent::RunEnd { best_value, distinct_evals, wall_nanos: 0 }
             }
