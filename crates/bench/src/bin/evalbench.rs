@@ -85,8 +85,9 @@ impl CostModel for SlowRouter {
     }
 }
 
-/// Worker counts of the eval-batch matrix. `1` is the serial scoring
-/// loop; every other count takes the persistent-pool batched path.
+/// Worker counts of the eval-batch matrix. At `1` the scoring loop
+/// evaluates every miss inline; every other count prefetches each
+/// generation's misses on the persistent pool.
 const WORKER_MATRIX: [usize; 4] = [1, 2, 4, 8];
 
 fn bench_eval_batch() -> (f64, Vec<(usize, f64)>) {

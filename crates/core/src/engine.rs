@@ -584,7 +584,7 @@ impl<'m> Nautilus<'m> {
             None => self.model,
         };
         // With nothing fallible between the GA's EvalCache and the runner,
-        // that cache answers every repeat and batched scoring dedupes
+        // that cache answers every repeat and the prefetch dedupes
         // misses, so each genome reaches the runner exactly once and a
         // second memo would only cost time. A fallible evaluator can
         // present a genome again (an attempt charged and then rejected, a

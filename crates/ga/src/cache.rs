@@ -79,9 +79,9 @@ impl EvalCache {
     ///
     /// This is the lookup half of [`EvalCache::get_or_eval`]: it updates
     /// the hit counter exactly as `get_or_eval` would on a hit, but never
-    /// evaluates. Batch evaluation uses it (together with
-    /// [`EvalCache::insert_evaluated`]) to keep counters bit-identical to
-    /// the serial path.
+    /// evaluates. The engine's scoring loop uses it (together with
+    /// [`EvalCache::insert_evaluated`]) whether a miss is evaluated inline
+    /// or was prefetched on worker threads.
     pub fn lookup(&mut self, genes: &[u32]) -> Option<Option<f64>> {
         let v = self.map.get(genes).copied();
         if v.is_some() {
@@ -93,10 +93,10 @@ impl EvalCache {
     /// Memoizes an externally computed evaluation, counting the miss
     /// exactly as [`EvalCache::get_or_eval`] would have.
     ///
-    /// Batch evaluation computes values off-cache (on worker threads) and
-    /// inserts them in deterministic first-occurrence order; an already
-    /// present genome is left untouched (no counter changes), mirroring
-    /// the fact that the serial path would never have re-evaluated it.
+    /// A prefetched value is computed off-cache (on a worker thread) and
+    /// inserted by the scoring loop in deterministic first-occurrence
+    /// order; an already present genome is left untouched (no counter
+    /// changes), since the loop never evaluates a cached genome.
     /// The owning [`Genome`] key is only allocated on an actual insert.
     pub fn insert_evaluated(&mut self, genes: &[u32], value: Option<f64>) {
         if self.map.contains_key(genes) {

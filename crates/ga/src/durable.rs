@@ -40,6 +40,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::rng::splitmix64;
+
 /// Which step of a durable operation an injected fault breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoFaultKind {
@@ -146,14 +148,6 @@ pub fn fault_label(message: &str) -> &'static str {
         .iter()
         .find(|k| message.contains(&format!("injected {} at", k.label())))
         .map_or("io", |k| k.label())
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One durable operation observed by a census handle.

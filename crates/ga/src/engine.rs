@@ -53,17 +53,19 @@ pub struct GaSettings {
     pub elitism: usize,
     /// Attempts per slot when sampling a feasible initial population.
     pub init_retries: usize,
-    /// Worker threads for per-generation batch evaluation of cache misses.
+    /// Worker threads for evaluating cache misses.
     ///
-    /// `1` (the default) keeps the original inline serial path. `0`
-    /// derives the count from [`std::thread::available_parallelism`]. Any
-    /// other value spreads each generation's distinct cache misses, and
-    /// the initial population's in rounds, over that many workers: the
-    /// merge thread plus `workers - 1` persistent pool helpers that stay
-    /// parked between batches. Every setting
-    /// produces bit-for-bit identical runs per seed: the RNG is never
-    /// touched during evaluation and results are merged back into the
-    /// cache in deterministic first-occurrence order.
+    /// `1` (the default) evaluates every miss inline on the search
+    /// thread, as the scoring loop meets it. `0` derives the count from
+    /// [`std::thread::available_parallelism`]. Any other value
+    /// prefetches each generation's distinct cache misses, and each
+    /// initial-population round's, over that many workers: the search
+    /// thread plus `workers - 1` persistent pool helpers that stay
+    /// parked between batches. Every setting produces bit-for-bit
+    /// identical runs per seed: the RNG is never touched during
+    /// evaluation, and the scoring loop takes prefetched results into
+    /// the cache in first-occurrence order, exactly where it would
+    /// have evaluated them.
     pub eval_workers: usize,
 }
 
@@ -304,16 +306,16 @@ impl<'a> GaEngine<'a> {
         self
     }
 
-    /// Installs a [`Supervisor`]: generational scoring takes the batched
-    /// path under supervision (watchdog deadlines, straggler hedging,
-    /// circuit breaker) at every `eval_workers` setting, and the breaker
-    /// state rides every checkpoint under the [`AUX_BREAKER`] aux key.
+    /// Installs a [`Supervisor`]: every generation's misses are
+    /// prefetched under supervision (watchdog deadlines, straggler
+    /// hedging, circuit breaker) at every `eval_workers` setting, and the
+    /// breaker state rides every checkpoint under the [`AUX_BREAKER`] aux
+    /// key.
     ///
     /// The initial population stays unsupervised — supervision is a
     /// property of the generational loop. It is scored through the
     /// fallible evaluator (if one is installed) or the plain fitness
-    /// function, serially at one worker and in batched rounds at two or
-    /// more.
+    /// function, inline at one worker and prefetched at two or more.
     #[must_use]
     pub fn with_supervisor(mut self, supervisor: &'a Supervisor<'a>) -> Self {
         self.supervisor = Some(supervisor);
@@ -452,6 +454,14 @@ impl<'a> GaEngine<'a> {
         // on this writer while the next generation evaluates. Dropping it
         // waits for the last write, so it never outlives `drive`.
         let mut writer = self.checkpoints.as_ref().map(WriteBehind::spawn).transpose()?;
+        // Run-scoped scoring buffer: each initial-population round is
+        // drawn into its first slots, each generation copied into all.
+        let mut scored: Vec<ScoredGenome> = (0..self.settings.population)
+            .map(|_| ScoredGenome {
+                genome: Genome::from_genes(Vec::with_capacity(self.space.num_params())),
+                score: f64::NEG_INFINITY,
+            })
+            .collect();
 
         let mut rng;
         let mut cache;
@@ -533,38 +543,29 @@ impl<'a> GaEngine<'a> {
                     fill_partial(&mut init_pop, self.settings.population);
                     break;
                 }
-                if workers <= 1 {
-                    attempts += 1;
-                    let g = self.space.random_genome(&mut rng);
-                    if self.eval_into_cache(&mut cache, &g, &mut faults, &mut rec).is_some() {
-                        init_pop.push(g);
-                    }
-                } else {
-                    // A round of draws the serial loop makes too: a
-                    // draw adds at most one feasible genome, so it
-                    // would keep drawing through the whole round. The
-                    // RNG stream, evaluation order and counters stay
-                    // the serial loop's; the round is unsupervised.
-                    let round_len =
-                        (self.settings.population - init_pop.len()).min(max_attempts - attempts);
-                    attempts += round_len;
-                    let round: Vec<Genome> =
-                        (0..round_len).map(|_| self.space.random_genome(&mut rng)).collect();
-                    let rows = PopArena::from_genomes(&round);
-                    let misses = self.collect_misses(&rows, &mut cache, None, &mut rec);
-                    let raws = self.score_batched(
-                        &rows,
-                        misses,
-                        &mut cache,
-                        &mut faults,
-                        workers,
-                        None,
-                        &pool,
-                        &mut rec,
-                    );
-                    let feasible = round.into_iter().zip(raws).filter(|(_, raw)| raw.is_some());
-                    init_pop.extend(feasible.map(|(g, _)| g));
+                // A round of the draws a one-at-a-time loop would make: a
+                // draw adds at most one feasible genome, so that loop
+                // would keep drawing through the whole round, and scoring
+                // never touches the RNG. The round is unsupervised.
+                let round_len =
+                    (self.settings.population - init_pop.len()).min(max_attempts - attempts);
+                attempts += round_len;
+                let round = &mut scored[..round_len];
+                for member in round.iter_mut() {
+                    member.genome = self.space.random_genome(&mut rng);
                 }
+                self.score(
+                    round,
+                    None,
+                    &mut cache,
+                    &mut faults,
+                    None,
+                    &pool,
+                    &mut rec,
+                    |m, raw| {
+                        init_pop.extend(raw.map(|_| m.genome.clone()));
+                    },
+                );
             }
             if let (Some(r), Some(start)) = (rec.as_mut(), init_start) {
                 r.end(Phase::InitPopulation, start);
@@ -575,12 +576,8 @@ impl<'a> GaEngine<'a> {
 
         // --- Generational loop --------------------------------------------
         let mut stop = StopReason::Completed;
-        // Run-scoped scratch: the scored population and the two children
-        // are overwritten in place every generation, never reallocated.
+        // The two children are overwritten in place every generation.
         let scratch = || Genome::from_genes(Vec::with_capacity(population.gene_len()));
-        let mut scored: Vec<ScoredGenome> = (0..population.len())
-            .map(|_| ScoredGenome { genome: scratch(), score: f64::NEG_INFINITY })
-            .collect();
         let (mut ca, mut cb) = (scratch(), scratch());
 
         for generation in start_generation..=self.settings.generations {
@@ -589,50 +586,21 @@ impl<'a> GaEngine<'a> {
             }
             // Score the population (cache makes revisits free).
             let scoring_start = rec.as_ref().map(SpanRecorder::begin);
-            if self.supervisor.is_none() && workers <= 1 {
-                // One unsupervised worker scores inline: no miss list, no
-                // pool job and no event capture to pay for.
-                for (member, row) in scored.iter_mut().zip(population.rows()) {
-                    member.genome.copy_from_slice(row);
-                    let raw =
-                        self.eval_into_cache(&mut cache, &member.genome, &mut faults, &mut rec);
-                    member.score = raw.map_or(f64::NEG_INFINITY, |v| direction.to_score(v));
-                }
-            } else {
-                // Supervision always takes the batched path: watchdog,
-                // hedging and breaker decisions live in the merge loop,
-                // which is identical at every worker count.
-                let mut supervision = self.supervisor.map(|sup| {
-                    let session = session
-                        .as_mut()
-                        .expect("session exists whenever a supervisor is installed");
-                    (sup, session)
-                });
-                let admission = supervision.as_mut().map(|(_, session)| &mut **session);
-                let misses = self.collect_misses(&population, &mut cache, admission, &mut rec);
-                if obs.enabled() {
-                    let size = misses.admitted.len();
-                    obs.on_event(&SearchEvent::EvalBatch {
-                        generation,
-                        size,
-                        workers: workers.min(size.max(1)),
-                    });
-                }
-                let raws = self.score_batched(
-                    &population,
-                    misses,
-                    &mut cache,
-                    &mut faults,
-                    workers,
-                    supervision,
-                    &pool,
-                    &mut rec,
-                );
-                for ((member, row), raw) in scored.iter_mut().zip(population.rows()).zip(raws) {
-                    member.genome.copy_from_slice(row);
-                    member.score = raw.map_or(f64::NEG_INFINITY, |v| direction.to_score(v));
-                }
+            for (member, row) in scored.iter_mut().zip(population.rows()) {
+                member.genome.copy_from_slice(row);
             }
+            self.score(
+                &mut scored,
+                Some(generation),
+                &mut cache,
+                &mut faults,
+                session.as_mut(),
+                &pool,
+                &mut rec,
+                |member, raw| {
+                    member.score = raw.map_or(f64::NEG_INFINITY, |v| direction.to_score(v))
+                },
+            );
             // Best-first, deterministic tie-break on the genome itself.
             scored.sort_by(|a, b| {
                 b.score
@@ -817,47 +785,109 @@ impl<'a> GaEngine<'a> {
         })
     }
 
-    /// Evaluates `genome` into the cache, charging a hit when memoized.
+    /// The one scoring loop, for every initial-population round
+    /// (`generation` is `None`) and every generation, at every worker
+    /// count, supervised or not: each member gets one cache lookup, then
+    /// `on_scored` with its raw value.
     ///
-    /// This is the single evaluation funnel for the one-worker serial
-    /// paths (initial population and scoring): without a fallible
-    /// evaluator it is counter-identical to `EvalCache::get_or_eval`; with
-    /// one it runs the retry loop and quarantines on exhaustion.
-    fn eval_into_cache(
+    /// A miss takes the next entry [`GaEngine::prefetch`] made for the
+    /// batch, or is evaluated inline when there is none, and enters the
+    /// cache at once, so a later repeat in the same population is an
+    /// ordinary hit. Counters, lanes and events therefore come out the
+    /// same whether a miss was prefetched or not. Prefetching runs at two
+    /// or more workers and under supervision (`session`), whose watchdog,
+    /// hedging and breaker need the batch up front.
+    #[allow(clippy::too_many_arguments)]
+    fn score(
         &self,
+        members: &mut [ScoredGenome],
+        generation: Option<u32>,
         cache: &mut EvalCache,
-        genome: &Genome,
         faults: &mut FaultStats,
+        mut session: Option<&mut SuperviseSession>,
+        pool: &EvalPool,
+        rec: &mut Option<SpanRecorder<'_>>,
+        mut on_scored: impl FnMut(&mut ScoredGenome, Option<f64>),
+    ) {
+        let mut prefetched = if pool.helpers() > 0 || session.is_some() {
+            self.prefetch(members, generation, cache, session.as_deref_mut(), pool, rec)
+        } else {
+            Vec::new()
+        }
+        .into_iter();
+        for member in members.iter_mut() {
+            let genes = member.genome.genes();
+            let raw = match timed(rec, Phase::CacheLookup, || cache.lookup(genes)) {
+                Some(raw) => raw,
+                None => self.score_miss(
+                    &member.genome,
+                    prefetched.next(),
+                    cache,
+                    faults,
+                    session.as_deref_mut(),
+                    rec,
+                ),
+            };
+            on_scored(member, raw);
+        }
+    }
+
+    /// Scores one cache miss from its prefetched entry, or inline at lane
+    /// `cache.len()` (the run's evaluation ordinal: this miss is the
+    /// cache's next entry), and memoizes the result.
+    fn score_miss(
+        &self,
+        genome: &Genome,
+        prefetched: Option<Prefetched>,
+        cache: &mut EvalCache,
+        faults: &mut FaultStats,
+        session: Option<&mut SuperviseSession>,
         rec: &mut Option<SpanRecorder<'_>>,
     ) -> Option<f64> {
         let genes = genome.genes();
-        if let Some(value) = timed(rec, Phase::CacheLookup, || cache.lookup(genes)) {
-            return value;
-        }
-        match self.fallible {
-            None => {
+        let record = match (prefetched, self.fallible) {
+            (Some(Prefetched::Done(record, events)), _) => timed(rec, Phase::BatchMerge, || {
+                for e in &events {
+                    self.observer.on_event(e);
+                }
+                record
+            }),
+            (Some(Prefetched::Precomputed(outcomes, probe)), _) => {
+                let sup = self.supervisor.expect("only supervised batches precompute");
+                let session = session.expect("only supervised batches precompute");
+                timed(rec, Phase::BatchMerge, || {
+                    session.resolve(
+                        sup.evaluator(),
+                        &self.retry,
+                        genome,
+                        &outcomes,
+                        probe,
+                        self.observer,
+                    )
+                })
+            }
+            // A plain fitness value goes straight into the cache.
+            (None, None) => {
                 let value = timed(rec, Phase::MissEval, || self.fitness.fitness(genome));
+                cache.insert_evaluated(genes, value);
+                return value;
+            }
+            (None, Some(eval)) => {
+                let lane = Some(cache.len() as u64);
+                timed(rec, Phase::MissEval, || {
+                    evaluate_with_retries(eval, genome, &self.retry, lane)
+                })
+            }
+        };
+        self.note_record(&record, faults);
+        match record.value {
+            Some(value) => {
                 cache.insert_evaluated(genes, value);
                 value
             }
-            Some(eval) => {
-                // The lane is the run's evaluation ordinal: this miss is
-                // the cache's next entry.
-                let lane = Some(cache.len() as u64);
-                let record = timed(rec, Phase::MissEval, || {
-                    evaluate_with_retries(eval, genome, &self.retry, lane)
-                });
-                self.note_record(&record, faults);
-                match record.value {
-                    Some(value) => {
-                        cache.insert_evaluated(genes, value);
-                        value
-                    }
-                    None => {
-                        cache.insert_quarantined(genes);
-                        None
-                    }
-                }
+            None => {
+                cache.insert_quarantined(genes);
+                None
             }
         }
     }
@@ -865,10 +895,9 @@ impl<'a> GaEngine<'a> {
     /// Folds one finished evaluation record into the fault counters and
     /// the event stream. Clean records are free.
     ///
-    /// Events for a batch-evaluated generation are emitted here by the
-    /// merge loop in first-occurrence miss order — the same order the
-    /// serial path produces — so observed streams stay bit-identical at
-    /// any worker count.
+    /// The scoring loop calls it in first-occurrence miss order whether
+    /// the miss was prefetched or evaluated inline, so observed streams
+    /// stay bit-identical at any worker count.
     fn note_record(&self, record: &EvalRecord, faults: &mut FaultStats) {
         if record.failures.is_empty() {
             return;
@@ -902,223 +931,162 @@ impl<'a> GaEngine<'a> {
         }
     }
 
-    /// Collects a batch's distinct cache misses in first-occurrence
-    /// population order, the exact order the serial path would evaluate
-    /// them. Under supervision, breaker admission is then frozen in that
-    /// order before anything runs: shed misses are quarantined on the
-    /// spot (degraded cache-only mode costs no retry budget), and a trip
-    /// during the merge affects the next batch, never this one.
-    fn collect_misses<'p>(
+    /// Evaluates a batch's distinct cache misses on the persistent
+    /// [`EvalPool`] ahead of the scoring loop, and returns one entry per
+    /// distinct miss in first-occurrence order, the order the loop meets
+    /// them.
+    ///
+    /// 1. Under supervision, breaker admission is frozen in that order
+    ///    before anything runs. A shed miss gets an empty quarantined
+    ///    record (degraded cache-only mode costs no retry budget), and a
+    ///    trip while the loop resolves affects the next batch, never
+    ///    this one. A generation's batch then emits its
+    ///    [`SearchEvent::EvalBatch`]; an initial-population round emits
+    ///    none.
+    /// 2. Workers pull miss indices from one atomic cursor and take one
+    ///    step per miss: the plain fitness function, the fallible
+    ///    evaluator's retry loop at lane `cache.len() + i` (the lane the
+    ///    inline path gives miss `i`), or the supervisor's attempt
+    ///    precomputation. The RNG is never touched, and telemetry a step
+    ///    emits is captured per miss instead of racing into the shared
+    ///    observer.
+    /// 3. A finished record carries its captured events, which the loop
+    ///    replays right before the record. A supervised miss's events
+    ///    are all replayed here instead, before the loop's first resolve
+    ///    (hedges and post-hedge retries run inline in the loop).
+    fn prefetch(
         &self,
-        population: &'p PopArena,
-        cache: &mut EvalCache,
-        admission: Option<&mut SuperviseSession>,
+        members: &[ScoredGenome],
+        generation: Option<u32>,
+        cache: &EvalCache,
+        mut session: Option<&mut SuperviseSession>,
+        pool: &EvalPool,
         rec: &mut Option<SpanRecorder<'_>>,
-    ) -> MissBatch<'p> {
-        let mut distinct: HashSet<&[u32], RowBuildHasher> = HashSet::default();
-        let mut admitted: Vec<(&[u32], bool)> = Vec::new();
+    ) -> Vec<Prefetched> {
+        let obs = self.observer;
+        let mut seen: HashSet<&[u32], RowBuildHasher> = HashSet::default();
+        let mut misses: Vec<(&Genome, Admission)> = Vec::new();
         timed(rec, Phase::CacheLookup, || {
-            for row in population.rows() {
-                if cache.peek(row).is_none() && distinct.insert(row) {
-                    admitted.push((row, false));
+            for member in members {
+                let genes = member.genome.genes();
+                if cache.peek(genes).is_none() && seen.insert(genes) {
+                    misses.push((&member.genome, Admission::Evaluate));
                 }
             }
         });
-        if let Some(session) = admission {
-            let obs = self.observer;
+        if let Some(session) = session.as_deref_mut() {
             session.begin_batch();
-            admitted.retain_mut(|(row, probe)| match session.admit(obs) {
-                Admission::Shed => {
-                    cache.insert_quarantined(row);
-                    false
-                }
-                Admission::Evaluate => true,
-                Admission::Probe => {
-                    *probe = true;
-                    true
-                }
+            for (_, admission) in &mut misses {
+                *admission = session.admit(obs);
+            }
+        }
+        let size = misses.iter().filter(|&&(_, admission)| admission != Admission::Shed).count();
+        let workers = pool.helpers() + 1;
+        if let (Some(generation), true) = (generation, obs.enabled()) {
+            obs.on_event(&SearchEvent::EvalBatch {
+                generation,
+                size,
+                workers: workers.min(size.max(1)),
             });
         }
-        MissBatch { distinct, admitted }
-    }
-
-    /// Evaluates a batch's admitted cache misses on the persistent
-    /// [`EvalPool`] and returns every population member's raw value in
-    /// row order: each generation of a multi-worker run, each generation
-    /// of a supervised run at any worker count, and each initial
-    /// population round of a multi-worker run.
-    ///
-    /// Equivalence with the serial path is by construction:
-    ///
-    /// 1. [`GaEngine::collect_misses`] lists the misses in the serial
-    ///    path's evaluation order. An unsupervised miss `i` carries lane
-    ///    `cache.len() + i`, the lane the serial path gives it.
-    /// 2. Workers pull miss indices from one atomic cursor and take one
-    ///    step per miss: the plain fitness function, the fallible
-    ///    evaluator's retry loop, or the supervisor's attempt
-    ///    precomputation. The RNG is never touched, results are keyed by
-    ///    miss index, and telemetry a step emits is captured per miss
-    ///    instead of racing into the shared observer.
-    /// 3. The merge thread folds results into the cache in
-    ///    first-occurrence order, so miss counters and map contents match
-    ///    the serial path. Captured telemetry replays in that order too:
-    ///    each miss's events right before its own record, or, under
-    ///    supervision, all of them before the first resolve decision
-    ///    (hedges and post-hedge retries run inline during the merge).
-    /// 4. The scoring pass then charges a cache hit for every lookup the
-    ///    serial path would have answered from the cache (everything
-    ///    except each miss's first occurrence).
-    #[allow(clippy::too_many_arguments)]
-    fn score_batched(
-        &self,
-        population: &PopArena,
-        misses: MissBatch<'_>,
-        cache: &mut EvalCache,
-        faults: &mut FaultStats,
-        workers: usize,
-        mut supervision: Option<(&Supervisor<'_>, &mut SuperviseSession)>,
-        pool: &EvalPool,
-        rec: &mut Option<SpanRecorder<'_>>,
-    ) -> Vec<Option<f64>> {
-        let obs = self.observer;
-        let MissBatch { distinct, admitted } = misses;
-        let n = admitted.len();
-        if n > 0 {
-            let supervisor = supervision.as_ref().map(|&(sup, _)| sup);
-            let fitness = self.fitness;
-            let fallible = self.fallible;
-            let retry = self.retry;
-            let tracer = self.tracer;
-            let capture = obs.enabled();
-            let gene_len = population.gene_len();
-            let first_lane = cache.len() as u64;
-            let admitted = &admitted;
-            let cursor = AtomicUsize::new(0);
-            let results: Mutex<Vec<(usize, MissStep, Vec<SearchEvent>)>> = Mutex::new(Vec::new());
-            // Every worker (the merge thread runs slot 0 itself) drains
-            // miss indices off the cursor into a local buffer.
-            let job = |slot: usize| {
-                let mut wrec = tracer.map(|t| t.recorder(&format!("worker-{slot}")));
-                let mut scratch = Genome::from_genes(Vec::with_capacity(gene_len));
-                let mut local = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+        let n = misses.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let supervisor = self.supervisor.filter(|_| session.is_some());
+        let fitness = self.fitness;
+        let fallible = self.fallible;
+        let retry = self.retry;
+        let tracer = self.tracer;
+        let capture = obs.enabled();
+        let first_lane = cache.len() as u64;
+        let misses = &misses;
+        let cursor = AtomicUsize::new(0);
+        let results: Mutex<Vec<(usize, Prefetched, Vec<SearchEvent>)>> = Mutex::new(Vec::new());
+        // Every worker (the merge thread runs slot 0 itself) drains miss
+        // indices off the cursor into a local buffer.
+        let job = |slot: usize| {
+            let mut wrec = tracer.map(|t| t.recorder(&format!("worker-{slot}")));
+            let mut local = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let (genome, admission) = misses[i];
+                let step = || match (supervisor, fallible) {
+                    (Some(sup), _) => Prefetched::Precomputed(
+                        sup.precompute(&retry, genome),
+                        admission == Admission::Probe,
+                    ),
+                    (None, Some(eval)) => {
+                        let lane = Some(first_lane + i as u64);
+                        let record = evaluate_with_retries(eval, genome, &retry, lane);
+                        Prefetched::Done(record, Vec::new())
                     }
-                    scratch.copy_from_slice(admitted[i].0);
-                    let step = || match (supervisor, fallible) {
-                        (Some(sup), _) => MissStep::Precomputed(sup.precompute(&retry, &scratch)),
-                        (None, Some(eval)) => {
-                            let lane = Some(first_lane + i as u64);
-                            MissStep::Done(evaluate_with_retries(eval, &scratch, &retry, lane))
-                        }
-                        (None, None) => {
-                            MissStep::Done(EvalRecord::evaluated(fitness.fitness(&scratch)))
-                        }
-                    };
-                    let (step, events) = timed(&mut wrec, Phase::MissEval, || {
+                    (None, None) => {
+                        Prefetched::Done(EvalRecord::evaluated(fitness.fitness(genome)), Vec::new())
+                    }
+                };
+                let (entry, events) = if admission == Admission::Shed {
+                    // Quarantined without evaluation: an empty record.
+                    let shed = EvalRecord { value: None, ..EvalRecord::evaluated(None) };
+                    (Prefetched::Done(shed, Vec::new()), Vec::new())
+                } else {
+                    timed(&mut wrec, Phase::MissEval, || {
                         if capture {
                             capture_events(step)
                         } else {
                             (step(), Vec::new())
                         }
-                    });
-                    local.push((i, step, events));
-                }
-                if !local.is_empty() {
-                    results.lock().expect("batch results lock").extend(local);
-                }
-            };
-            // Dispatch is the O(1) publish alone. The wake is billed to
-            // `batch_wait` along with the drain: on a single-core host
-            // `notify_all` preempts this thread in favor of the woken
-            // helpers, so the wake call blocks for helper compute time.
-            let ticket = timed(rec, Phase::BatchDispatch, || {
-                pool.publish(&job, workers.min(n).saturating_sub(1))
-            });
-            timed(rec, Phase::BatchWait, || ticket.wake());
-            job(0);
-            timed(rec, Phase::BatchWait, || ticket.wait());
-            let mut results = results.into_inner().expect("batch results lock");
-            results.sort_unstable_by_key(|r| r.0);
-            timed(rec, Phase::BatchMerge, || {
-                let replay = |events: &[SearchEvent]| {
-                    if obs.enabled() {
-                        for e in events {
-                            obs.on_event(e);
-                        }
-                    }
+                    })
                 };
-                if supervision.is_some() {
-                    for (_, _, events) in &results {
-                        replay(events);
-                    }
-                }
-                let mut scratch = Genome::from_genes(Vec::with_capacity(gene_len));
-                for (&(row, probe), (_, step, events)) in admitted.iter().zip(results) {
-                    let record = match step {
-                        MissStep::Done(record) => {
-                            replay(&events);
-                            record
+                local.push((i, entry, events));
+            }
+            if !local.is_empty() {
+                results.lock().expect("batch results lock").extend(local);
+            }
+        };
+        // Dispatch is the O(1) publish alone. The wake is billed to
+        // `batch_wait` along with the drain: on a single-core host
+        // `notify_all` preempts this thread in favor of the woken
+        // helpers, so the wake call blocks for helper compute time.
+        let ticket =
+            timed(rec, Phase::BatchDispatch, || pool.publish(&job, workers.min(size.max(1)) - 1));
+        timed(rec, Phase::BatchWait, || ticket.wake());
+        job(0);
+        timed(rec, Phase::BatchWait, || ticket.wait());
+        let mut results = results.into_inner().expect("batch results lock");
+        timed(rec, Phase::BatchMerge, || {
+            results.sort_unstable_by_key(|r| r.0);
+            results
+                .into_iter()
+                .map(|(_, mut entry, events)| {
+                    match &mut entry {
+                        Prefetched::Done(_, own) => *own = events,
+                        Prefetched::Precomputed(..) => {
+                            for e in &events {
+                                obs.on_event(e);
+                            }
                         }
-                        MissStep::Precomputed(outcomes) => {
-                            let (sup, session) =
-                                supervision.as_mut().expect("only supervised batches precompute");
-                            scratch.copy_from_slice(row);
-                            session.resolve(
-                                sup.evaluator(),
-                                &self.retry,
-                                &scratch,
-                                &outcomes,
-                                probe,
-                                obs,
-                            )
-                        }
-                    };
-                    self.note_record(&record, faults);
-                    match record.value {
-                        Some(value) => cache.insert_evaluated(row, value),
-                        None => cache.insert_quarantined(row),
                     }
-                }
-            });
-        }
-
-        // `distinct` doubles as the not-yet-charged first-occurrence set.
-        let mut fresh = distinct;
-        timed(rec, Phase::CacheLookup, || {
-            population
-                .rows()
-                .map(|row| {
-                    if fresh.remove(row) {
-                        cache.peek(row).expect("batch resolved this genome")
-                    } else {
-                        cache.lookup(row).expect("population member must be cached by now")
-                    }
+                    entry
                 })
                 .collect()
         })
     }
 }
 
-/// A batch's distinct cache misses, from [`GaEngine::collect_misses`].
-struct MissBatch<'p> {
-    /// Every distinct miss, shed ones included: the scoring pass charges
-    /// none of them a cache hit.
-    distinct: HashSet<&'p [u32], RowBuildHasher>,
-    /// The misses to evaluate in first-occurrence order, each flagged
-    /// when breaker admission made it a probe.
-    admitted: Vec<(&'p [u32], bool)>,
-}
-
-/// What a pool worker computed for one cache miss.
-enum MissStep {
-    /// A finished evaluation: a plain fitness value or a retry loop's
-    /// record.
-    Done(EvalRecord),
-    /// A supervised miss's attempt outcomes, resolved on the merge thread.
-    Precomputed(Vec<AttemptOutcome>),
+/// One distinct cache miss as [`GaEngine::prefetch`] hands it to the
+/// scoring loop.
+enum Prefetched {
+    /// A finished evaluation (a plain fitness value, a retry loop's
+    /// record, or an empty quarantined record for a shed miss) and the
+    /// events it emitted, replayed right before the record.
+    Done(EvalRecord, Vec<SearchEvent>),
+    /// A supervised miss's attempt outcomes, flagged when breaker
+    /// admission made it a probe; the loop resolves them.
+    Precomputed(Vec<AttemptOutcome>, bool),
 }
 
 /// Fills an initial population that ended short of `population` by

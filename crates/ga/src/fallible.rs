@@ -201,7 +201,7 @@ pub fn retry_backoff(policy: &RetryPolicy, genome: &Genome, attempt: u32) -> u64
 /// independent of scheduling.
 ///
 /// `lane` is the evaluation's run-wide ordinal: the engine numbers a
-/// run's distinct evaluations in the order its serial loop meets them
+/// run's distinct evaluations in the order its scoring loop meets them
 /// (the cache's size at the miss), so a genome carries the same lane at
 /// every worker count and across a resume. Every attempt of one
 /// evaluation carries the same lane. An evaluator that spreads work over

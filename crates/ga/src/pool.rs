@@ -1,6 +1,6 @@
 //! Persistent evaluation worker pool.
 //!
-//! The batched scoring path used to spawn and join a fresh
+//! The engine's prefetch used to spawn and join a fresh
 //! `std::thread::scope` every generation, which dominated the
 //! `batch_dispatch` phase (thread creation, stack setup and teardown per
 //! generation). [`EvalPool`] keeps the helper threads alive for the whole

@@ -4,7 +4,7 @@
 //! The retry layer in [`crate::fallible`] reads no clock: it sees an
 //! attempt only once it returns, so a hung backend wedges an eval worker
 //! forever. This module adds preemptive supervision around the engine's
-//! batched evaluation path:
+//! prefetched evaluation of each generation's misses:
 //!
 //! * **Watchdog** — every attempt carries a hard deadline
 //!   ([`WatchdogPolicy::deadline_ms`]). An attempt that hangs, or

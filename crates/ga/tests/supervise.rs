@@ -6,9 +6,10 @@ use std::path::PathBuf;
 
 use nautilus_ga::rng::{hash_combine, mix_to_unit, splitmix64};
 use nautilus_ga::{
-    AttemptOutcome, BreakerPolicy, CheckpointStore, Direction, EvalFailure, FnFallible, FnFitness,
-    GaEngine, GaError, GaSettings, Genome, NeverHangs, ParamSpace, RunBudget, StopReason,
-    SupervisableEvaluator, SupervisePolicy, Supervisor, WatchdogPolicy, HEDGE_ATTEMPT_BIT,
+    AttemptOutcome, BreakerPolicy, CacheStats, CheckpointStore, Direction, EvalFailure, FnFallible,
+    FnFitness, GaEngine, GaError, GaSettings, Genome, NeverHangs, ParamSpace, RunBudget,
+    StopReason, SupervisableEvaluator, SupervisePolicy, SuperviseStats, Supervisor, WatchdogPolicy,
+    HEDGE_ATTEMPT_BIT,
 };
 use nautilus_obs::{BatchEventBuffer, HealthState, InMemorySink, SearchEvent, SearchObserver};
 
@@ -219,12 +220,10 @@ impl SupervisableEvaluator for StormEval {
     }
 }
 
-#[test]
-fn breaker_state_and_health_counters_survive_checkpoint_and_resume() {
-    let s = space();
-    let f = sphere();
-    let eval = StormEval { seed: 0x57012, persist_rate: 0.85 };
-    let policy = SupervisePolicy {
+/// A breaker that trips after four samples at a 70% failure rate and
+/// half-opens after six sheds.
+fn storm_policy() -> SupervisePolicy {
+    SupervisePolicy {
         breaker: BreakerPolicy {
             window: 8,
             min_samples: 4,
@@ -234,8 +233,15 @@ fn breaker_state_and_health_counters_survive_checkpoint_and_resume() {
             probes_to_close: 2,
         },
         ..SupervisePolicy::default()
-    };
-    let sup = Supervisor::new(&eval).with_policy(policy);
+    }
+}
+
+#[test]
+fn breaker_state_and_health_counters_survive_checkpoint_and_resume() {
+    let s = space();
+    let f = sphere();
+    let eval = StormEval { seed: 0x57012, persist_rate: 0.85 };
+    let sup = Supervisor::new(&eval).with_policy(storm_policy());
     let settings = GaSettings { generations: 16, ..Default::default() };
     let seed = 0x0DD;
 
@@ -266,6 +272,84 @@ fn breaker_state_and_health_counters_survive_checkpoint_and_resume() {
         "resumed run (incl. health counters) must equal the uninterrupted one"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// FNV-1a over the JSONL lines of a stream's `generation_end` events.
+fn generation_end_digest(events: &[SearchEvent]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for e in events.iter().filter(|e| matches!(e, SearchEvent::GenerationEnd { .. })) {
+        for b in e.to_json().bytes().chain([b'\n']) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn cache_and_health_counters_hold_their_recorded_values_at_every_worker_count() {
+    // The worker-count tests compare a run with itself at another count,
+    // so a change that moves every count alike passes them. These
+    // literals do not move: a plain run whose generations revisit
+    // genomes and cross an infeasible region, and a storm that trips the
+    // breaker and sheds.
+    let s = space();
+    let f = FnFitness::new(Direction::Minimize, |g: &Genome| {
+        (!g.gene_at(1).is_multiple_of(5)).then(|| sphere_value(g))
+    });
+    let eval = StormEval { seed: 0x57012, persist_rate: 0.85 };
+    let sup = Supervisor::new(&eval).with_policy(storm_policy());
+    for workers in [1usize, 2, 8] {
+        let settings = GaSettings { generations: 16, eval_workers: workers, ..Default::default() };
+
+        let sink = InMemorySink::new();
+        let plain =
+            GaEngine::new(&s, &f).with_settings(settings).with_observer(&sink).run(0x0DD).unwrap();
+        assert_eq!(
+            plain.cache,
+            CacheStats { hits: 132, distinct_evals: 45, infeasible_evals: 10, quarantined: 0 },
+            "plain cache counters at workers={workers}"
+        );
+        assert_eq!(plain.health, SuperviseStats::default());
+        assert_eq!(
+            generation_end_digest(&sink.events()),
+            0x3f5f_0df9_a865_cc37,
+            "plain stream at workers={workers}"
+        );
+
+        let sink = InMemorySink::new();
+        let storm = GaEngine::new(&s, &f)
+            .with_settings(settings)
+            .with_supervisor(&sup)
+            .with_observer(&sink)
+            .run(0x0DD)
+            .unwrap();
+        assert_eq!(
+            storm.cache,
+            CacheStats { hits: 128, distinct_evals: 12, infeasible_evals: 7, quarantined: 40 },
+            "storm cache counters at workers={workers}"
+        );
+        assert_eq!(
+            storm.health,
+            SuperviseStats {
+                attempts_supervised: 14,
+                watchdog_fired: 0,
+                late_results_discarded: 0,
+                hedges_issued: 0,
+                hedges_won: 0,
+                hedges_wasted: 0,
+                breaker_trips: 5,
+                breaker_recoveries: 0,
+                breaker_probes: 6,
+                evals_shed: 28,
+            },
+            "storm health counters at workers={workers}"
+        );
+        assert_eq!(
+            generation_end_digest(&sink.events()),
+            0xf5c3_c0bb_d8a3_cdb0,
+            "storm stream at workers={workers}"
+        );
+    }
 }
 
 #[test]

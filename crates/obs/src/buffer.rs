@@ -1,14 +1,14 @@
 //! Deterministic capture of worker-side events during batched evaluation.
 //!
-//! Batched generations evaluate cache misses on worker threads. If those
+//! A prefetched batch evaluates cache misses on worker threads. If those
 //! workers emitted straight into the shared observer, the event stream
 //! would interleave in scheduler order — different on every run and at
 //! every worker count. Instead, the engine wraps the evaluation path's
 //! observer in a [`BatchEventBuffer`] and runs each miss inside
 //! [`capture_events`]: events raised on the worker are parked in a
-//! thread-local buffer attached to that miss's result, and the merge
-//! thread replays them in deterministic miss order. The merged stream is
-//! byte-identical to what a serial run emits.
+//! thread-local buffer attached to that miss's result, and the engine's
+//! scoring loop replays them in deterministic miss order. The merged
+//! stream is byte-identical to what a one-worker run emits.
 //!
 //! Outside a capture frame the buffer is a transparent pass-through, so
 //! serial evaluation paths are unaffected.

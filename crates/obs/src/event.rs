@@ -184,8 +184,9 @@ pub enum SearchEvent {
     },
     /// A generation's cache misses were evaluated as one parallel batch.
     ///
-    /// Emitted by the batched evaluation path only; the serial path
-    /// evaluates inline and emits nothing. Batching never touches the
+    /// Emitted by the engine's prefetch, which runs at two or more
+    /// workers and under supervision; a one-worker unsupervised run
+    /// evaluates every miss inline and emits nothing. Batching never touches the
     /// RNG, so observed and unobserved outcomes stay identical.
     EvalBatch {
         /// Generation whose population was being scored.

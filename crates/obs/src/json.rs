@@ -1,4 +1,4 @@
-//! A minimal, dependency-free JSON emitter and validator.
+//! A minimal, dependency-free JSON emitter and parser.
 //!
 //! The workspace is std only, so events, metric snapshots and run reports
 //! serialize through this hand-rolled writer. The emitted subset is plain
@@ -188,20 +188,11 @@ impl JsonObj {
     }
 }
 
-/// Validates that `s` is exactly one well-formed JSON value.
-///
-/// A tiny recursive-descent checker used by tests and by readers of the
-/// JSONL streams; it accepts the standard JSON grammar (RFC 8259).
+/// Validates that `s` is exactly one well-formed JSON value: whatever
+/// [`parse_json`] accepts.
 #[must_use]
 pub fn is_valid_json(s: &str) -> bool {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    if !parse_value(bytes, &mut pos, 0) {
-        return false;
-    }
-    skip_ws(bytes, &mut pos);
-    pos == bytes.len()
+    parse_json(s).is_ok()
 }
 
 const MAX_DEPTH: usize = 128;
@@ -212,22 +203,6 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> bool {
-    if depth > MAX_DEPTH || *pos >= b.len() {
-        return false;
-    }
-    match b[*pos] {
-        b'{' => parse_object(b, pos, depth + 1),
-        b'[' => parse_array(b, pos, depth + 1),
-        b'"' => parse_string(b, pos),
-        b't' => parse_lit(b, pos, b"true"),
-        b'f' => parse_lit(b, pos, b"false"),
-        b'n' => parse_lit(b, pos, b"null"),
-        b'-' | b'0'..=b'9' => parse_number(b, pos),
-        _ => false,
-    }
-}
-
 fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
     if b.len() - *pos >= lit.len() && &b[*pos..*pos + lit.len()] == lit {
         *pos += lit.len();
@@ -235,94 +210,6 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
     } else {
         false
     }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> bool {
-    *pos += 1; // consume '{'
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == b'}' {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        skip_ws(b, pos);
-        if *pos >= b.len() || b[*pos] != b'"' || !parse_string(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        if *pos >= b.len() || b[*pos] != b':' {
-            return false;
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        if !parse_value(b, pos, depth) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> bool {
-    *pos += 1; // consume '['
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == b']' {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        skip_ws(b, pos);
-        if !parse_value(b, pos, depth) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // consume '"'
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return true;
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            if !matches!(b.get(*pos), Some(c) if c.is_ascii_hexdigit()) {
-                                return false;
-                            }
-                            *pos += 1;
-                        }
-                    }
-                    _ => return false,
-                }
-            }
-            0x00..=0x1F => return false,
-            _ => *pos += 1,
-        }
-    }
-    false
 }
 
 fn parse_number(b: &[u8], pos: &mut usize) -> bool {
@@ -470,7 +357,7 @@ fn err<T>(message: impl Into<String>, offset: usize) -> Result<T, JsonError> {
 }
 
 /// Parses exactly one JSON value from `s` (RFC 8259 grammar, recursion
-/// depth capped as in [`is_valid_json`]).
+/// depth capped at 128 nested arrays and objects).
 ///
 /// # Errors
 ///
@@ -752,6 +639,7 @@ mod tests {
             "{}extra",
             "{\"a\":1,}",
             "\"bad\\q\"",
+            "\"\\ud800\"",
         ] {
             assert!(!is_valid_json(bad), "should reject: {bad}");
         }

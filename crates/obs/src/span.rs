@@ -10,14 +10,12 @@
 //! the search-event stream, so a traced run is bit-for-bit identical to
 //! an untraced one.
 //!
-//! Three consumers sit on top:
+//! Two consumers sit on top:
 //!
 //! * [`Tracer::to_chrome_json`] emits Chrome/Perfetto trace-event JSON
 //!   (one track per worker plus the merge thread) for `ui.perfetto.dev`.
 //! * [`Tracer::phase_stats`] aggregates per-phase total/self time for the
 //!   `phases` block of a schema-6 `RunReport`.
-//! * [`Tracer::wire_bytes`] / [`Tracer::from_wire_bytes`] round-trip the
-//!   raw records through the versioned wire codec for tooling.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -25,7 +23,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::JsonObj;
-use crate::wire::{WireError, WireReader, WireWriter};
 
 /// The instrumented phases of a search run.
 ///
@@ -47,40 +44,25 @@ pub enum Phase {
     Crossover,
     /// One mutation-operator invocation.
     Mutation,
-    /// Evaluation-cache lookups (serial per-genome, batched per-pass).
+    /// Evaluation-cache lookups (one per scored genome, plus one pass per
+    /// prefetched batch).
     CacheLookup,
-    /// Evaluating one cache miss (worker tracks on batched runs).
+    /// Evaluating one cache miss (on worker tracks when prefetched).
     MissEval,
     /// Handing a generation's miss chunks to the persistent worker pool
     /// (publish + unpark; the wait is [`Phase::BatchWait`]).
     BatchDispatch,
     /// Merge thread blocked waiting for pool workers to finish a batch.
     BatchWait,
-    /// Folding worker results back into the cache and event stream.
+    /// Folding prefetched results back into the event stream and the
+    /// scoring loop.
     BatchMerge,
     /// Writing one durable checkpoint.
     CheckpointIo,
 }
 
 impl Phase {
-    /// Every phase, in canonical reporting order.
-    pub const ALL: [Phase; 12] = [
-        Phase::Run,
-        Phase::InitPopulation,
-        Phase::Scoring,
-        Phase::Selection,
-        Phase::Crossover,
-        Phase::Mutation,
-        Phase::CacheLookup,
-        Phase::MissEval,
-        Phase::BatchDispatch,
-        Phase::BatchWait,
-        Phase::BatchMerge,
-        Phase::CheckpointIo,
-    ];
-
-    /// Stable snake_case label used in trace JSON, report JSON, and the
-    /// wire encoding.
+    /// Stable snake_case label used in trace JSON and report JSON.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -97,12 +79,6 @@ impl Phase {
             Phase::BatchMerge => "batch_merge",
             Phase::CheckpointIo => "checkpoint_io",
         }
-    }
-
-    /// Inverse of [`Phase::label`].
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Phase> {
-        Phase::ALL.iter().copied().find(|p| p.label() == label)
     }
 }
 
@@ -159,9 +135,6 @@ impl Default for Tracer {
         Tracer::new()
     }
 }
-
-/// Wire-format version of [`Tracer::wire_bytes`].
-const TRACE_WIRE_VERSION: u8 = 2;
 
 /// Initial capacity of a recorder's local buffer; sized so a generation's
 /// worth of spans never reallocates on the hot path.
@@ -302,65 +275,6 @@ impl Tracer {
         root.arr_raw("traceEvents", &events).str("displayTimeUnit", "ms");
         root.finish()
     }
-
-    /// Serializes tracks and spans through the versioned wire codec
-    /// (flush order preserved).
-    #[must_use]
-    pub fn wire_bytes(&self) -> Vec<u8> {
-        let state = self.state.lock().expect("tracer lock poisoned");
-        let mut w = WireWriter::new();
-        w.u8(TRACE_WIRE_VERSION);
-        w.usize(state.tracks.len());
-        for t in &state.tracks {
-            w.str(t);
-        }
-        w.usize(state.spans.len());
-        for s in &state.spans {
-            w.u32(s.track);
-            w.str(s.phase.label());
-            w.u64(s.start_nanos);
-            w.u64(s.dur_nanos);
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes a [`Tracer::wire_bytes`] blob, validating the version,
-    /// every phase label, and every track reference. The returned
-    /// tracer's epoch is fresh; its records keep their original offsets.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on truncation, trailing bytes, an unknown
-    /// wire version, an unknown phase label, or a span referencing an
-    /// unregistered track.
-    pub fn from_wire_bytes(bytes: &[u8]) -> Result<Tracer, WireError> {
-        let mut r = WireReader::new(bytes);
-        let version = r.u8()?;
-        if version != TRACE_WIRE_VERSION {
-            return Err(WireError(format!("unknown trace wire version {version}")));
-        }
-        let num_tracks = r.len_prefix()?;
-        let mut tracks = Vec::new();
-        for _ in 0..num_tracks {
-            tracks.push(r.str()?);
-        }
-        let num_spans = r.len_prefix()?;
-        let mut spans = Vec::new();
-        for _ in 0..num_spans {
-            let track = r.u32()?;
-            let label = r.str()?;
-            let phase = Phase::from_label(&label)
-                .ok_or_else(|| WireError(format!("unknown phase label `{label}`")))?;
-            if track as usize >= tracks.len() {
-                return Err(WireError(format!("span references unknown track {track}")));
-            }
-            let start_nanos = r.u64()?;
-            let dur_nanos = r.u64()?;
-            spans.push(SpanRecord { track, phase, start_nanos, dur_nanos });
-        }
-        r.finish()?;
-        Ok(Tracer { epoch: Instant::now(), state: Mutex::new(TraceState { tracks, spans }) })
-    }
 }
 
 /// An in-flight span's start timestamp (nanoseconds past the epoch).
@@ -477,14 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_labels_round_trip() {
-        for phase in Phase::ALL {
-            assert_eq!(Phase::from_label(phase.label()), Some(phase));
-        }
-        assert_eq!(Phase::from_label("nope"), None);
-    }
-
-    #[test]
     fn recorder_buffers_locally_and_flushes_to_the_tracer() {
         let tracer = Tracer::new();
         let mut rec = tracer.recorder("merge");
@@ -588,81 +494,6 @@ mod tests {
             r#"],"displayTimeUnit":"ms"}"#,
         );
         assert_eq!(json, expected);
-    }
-
-    #[test]
-    fn wire_round_trips_tracks_spans_and_aggregates() {
-        let tracer = synthetic(
-            &["merge", "worker-0", "worker-1"],
-            &[
-                span(0, Phase::Run, 0, 9000),
-                span(1, Phase::MissEval, 10, 20),
-                span(2, Phase::MissEval, 15, 25),
-                span(0, Phase::CheckpointIo, 8000, 500),
-            ],
-        );
-        let bytes = tracer.wire_bytes();
-        let back = Tracer::from_wire_bytes(&bytes).unwrap();
-        assert_eq!(back.tracks(), tracer.tracks());
-        assert_eq!(back.spans(), tracer.spans());
-        assert_eq!(back.phase_stats(), tracer.phase_stats());
-        assert_eq!(back.to_chrome_json(), tracer.to_chrome_json());
-    }
-
-    #[test]
-    fn wire_rejects_corruption() {
-        let tracer = synthetic(&["merge"], &[span(0, Phase::Run, 0, 10)]);
-        let bytes = tracer.wire_bytes();
-        // Truncations at every length never panic and never succeed.
-        for len in 0..bytes.len() {
-            assert!(
-                Tracer::from_wire_bytes(&bytes[..len]).is_err(),
-                "truncation to {len} bytes was accepted"
-            );
-        }
-        // Trailing garbage is rejected.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(Tracer::from_wire_bytes(&padded).is_err());
-        // An unknown version is rejected.
-        let mut wrong = bytes.clone();
-        wrong[0] = 99;
-        assert!(Tracer::from_wire_bytes(&wrong).is_err());
-        // So is a version-1 blob: the same records followed by an (empty)
-        // aggregate section.
-        let mut v1 = bytes;
-        v1[0] = 1;
-        let mut aggregates = WireWriter::new();
-        aggregates.usize(0);
-        v1.extend(aggregates.into_bytes());
-        let err = Tracer::from_wire_bytes(&v1).expect_err("version 1 must be rejected");
-        assert!(err.0.contains("unknown trace wire version 1"), "{err:?}");
-    }
-
-    #[test]
-    fn wire_rejects_unknown_labels_and_dangling_tracks() {
-        // Unknown phase label.
-        let mut w = WireWriter::new();
-        w.u8(TRACE_WIRE_VERSION);
-        w.usize(1);
-        w.str("merge");
-        w.usize(1);
-        w.u32(0);
-        w.str("warp_drive");
-        w.u64(0);
-        w.u64(1);
-        assert!(Tracer::from_wire_bytes(&w.into_bytes()).is_err());
-        // Span referencing a track that was never registered.
-        let mut w = WireWriter::new();
-        w.u8(TRACE_WIRE_VERSION);
-        w.usize(1);
-        w.str("merge");
-        w.usize(1);
-        w.u32(5);
-        w.str("run");
-        w.u64(0);
-        w.u64(1);
-        assert!(Tracer::from_wire_bytes(&w.into_bytes()).is_err());
     }
 
     #[test]

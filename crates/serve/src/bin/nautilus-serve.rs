@@ -6,9 +6,10 @@
 //!
 //! Listens on an ephemeral localhost port (published to `<dir>/endpoint`),
 //! recovers any jobs a previous incarnation left behind, and serves
-//! submissions until SIGTERM or SIGINT, either of which triggers a
-//! graceful drain: running jobs checkpoint and park, queued jobs stay
-//! queued, and the next incarnation re-adopts everything.
+//! submissions until SIGTERM, SIGINT or a `Drain` request, any of which
+//! triggers a graceful drain: running jobs checkpoint and park, queued
+//! jobs stay queued, the endpoint file is removed, and the process exits
+//! 0. The next incarnation re-adopts everything.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -69,7 +70,7 @@ fn main() {
     let daemon = Daemon::start(cfg).expect("start daemon");
     println!("nautilus-serve listening on {} (state: {})", daemon.addr(), dir.display());
 
-    while !STOP.load(Ordering::Acquire) {
+    while !STOP.load(Ordering::Acquire) && !daemon.is_draining() {
         std::thread::sleep(Duration::from_millis(25));
     }
     eprintln!("nautilus-serve: draining");

@@ -261,6 +261,13 @@ impl Daemon {
         initiate_drain(&self.shared);
     }
 
+    /// Whether a drain has begun, by [`Daemon::drain`] or by a
+    /// [`Request::Drain`] frame.
+    #[must_use]
+    pub fn is_draining(&self) -> bool {
+        self.shared.drain.load(Ordering::Acquire)
+    }
+
     /// [`Daemon::drain`] then blocks until every slot has parked and the
     /// listener has closed; removes the endpoint file on the way out.
     pub fn drain_and_join(mut self) {

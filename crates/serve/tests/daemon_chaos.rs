@@ -138,6 +138,28 @@ fn killing_the_daemon_twice_mid_run_changes_nothing() {
 }
 
 #[test]
+fn a_drain_frame_makes_the_binary_exit_cleanly() {
+    let dir = tempdir("drain-frame");
+    let (mut child, client) = spawn_daemon(&dir);
+    // The reply can race the process exit, so only the exit is asserted.
+    let _ = client.drain();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait daemon") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            sigkill(child);
+            panic!("daemon did not exit within 10 s of a drain frame");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "drained daemon exited with {status}");
+    assert!(!dir.join("endpoint").exists(), "drain did not clean up the endpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn sigterm_drains_and_the_next_incarnation_finishes_the_job() {
     let dir = tempdir("sigterm");
     let quota = TenantQuota::default();

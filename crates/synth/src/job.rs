@@ -18,7 +18,7 @@
 //!   twice.
 //! * [`SynthJobRunner::without_memo`] keeps no memo and only counts. The
 //!   plain GA engine path uses it: the engine's own `EvalCache` answers
-//!   every repeat and its batched scoring deduplicates misses, so each
+//!   every repeat and its prefetch deduplicates misses, so each
 //!   genome reaches the runner exactly once and a second memo would only
 //!   cost time. Debug builds check that contract and panic on a genome
 //!   charged twice.
