@@ -4,16 +4,16 @@
 //! so `scripts/check.sh` can diff them against a straight-through run:
 //!
 //! * **Budget mode** (default): interrupt each chaos search after
-//!   `--budget-generations` generations with durable checkpoints in
-//!   `--dir`, then resume from disk to completion.
+//!   `--budget-generations` generations, journaling its replies in
+//!   `--dir`, then resume from the journal to completion.
 //!
 //!   ```text
 //!   resume --seed 2 --workers 8 --dir /tmp/ckpt --budget-generations 2
 //!   ```
 //!
 //! * **Kill mode** (`--kill`): re-spawn this binary as a slowed-down
-//!   victim (`--victim`), SIGKILL it once checkpoints appear on disk,
-//!   then recover whatever state survived and finish the searches.
+//!   victim (`--victim`), SIGKILL it once its journal holds replies, then
+//!   recover whatever survived and finish the searches.
 //!
 //!   ```text
 //!   resume --seed 1 --workers 1 --dir /tmp/ckpt --kill
@@ -21,7 +21,7 @@
 //!
 //! The victim additionally wires SIGINT and SIGTERM to the run budget's
 //! cooperative cancel flag: Ctrl-C or a service manager's stop both halt
-//! at the next generation boundary with a final checkpoint instead of
+//! at the next generation boundary with the journal synced instead of
 //! tearing the process down mid-write.
 
 use std::path::{Path, PathBuf};
@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use nautilus::CheckpointStore;
 use nautilus_bench::{chaos_digest, chaos_recover_digest, chaos_resume_digest, chaos_victim};
 
 /// SIGINT's POSIX signal number.
@@ -109,8 +110,9 @@ fn parse_cli() -> Cli {
     cli
 }
 
-/// Spawns this binary as a slowed victim writing checkpoints into `dir`,
-/// SIGKILLs it once checkpoint files exist, and returns once it is dead.
+/// Spawns this binary as a slowed victim journaling into `dir`, SIGKILLs
+/// it once its baseline journal holds replies, and returns once it is
+/// dead.
 fn kill_a_victim(cli: &Cli, dir: &Path) {
     let exe = std::env::current_exe().expect("own executable path");
     let mut child = std::process::Command::new(exe)
@@ -125,32 +127,25 @@ fn kill_a_victim(cli: &Cli, dir: &Path) {
         .spawn()
         .expect("spawn victim process");
 
-    // Wait until the victim has durable state worth losing: at least two
-    // checkpoint records in the baseline directory.
+    // Wait until the victim has work worth losing: two generations'
+    // worth of replies (a population is 10) in the baseline journal.
     let baseline = dir.join("baseline");
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
-        let checkpoints = std::fs::read_dir(&baseline)
-            .map(|entries| {
-                entries
-                    .filter_map(std::result::Result::ok)
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "nckpt"))
-                    .count()
-            })
-            .unwrap_or(0);
-        if checkpoints >= 2 {
+        let replies = CheckpointStore::create(&baseline).map_or(0, |s| s.journal().replies());
+        if replies >= 20 {
             break;
         }
         if let Ok(Some(status)) = child.try_wait() {
-            // Victim finished before we could kill it — its checkpoints
-            // are still on disk, recovery just replays the ending.
+            // Victim finished before we could kill it — its journal is
+            // still on disk, recovery just replays the whole run.
             eprintln!("victim exited early ({status}); recovering its final state");
             return;
         }
         if std::time::Instant::now() > deadline {
             let _ = child.kill();
             let _ = child.wait();
-            eprintln!("victim produced no checkpoints within 30s");
+            eprintln!("victim journaled no replies within 30s");
             std::process::exit(1);
         }
         std::thread::sleep(Duration::from_millis(5));

@@ -14,13 +14,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nautilus::{
-    Confidence, FaultPlan, Nautilus, NautilusError, Query, RetryPolicy, RunBudget, SearchOutcome,
-    SupervisePolicy,
+    Confidence, FaultPlan, Nautilus, Query, RetryPolicy, RunBudget, SearchOutcome, SupervisePolicy,
 };
-use nautilus_ga::{GaError, Genome, ParamSpace};
 use nautilus_noc::hints::fmax_hints;
 use nautilus_obs::json::JsonObj;
-use nautilus_synth::{CostModel, MetricCatalog, MetricExpr, MetricSet};
+use nautilus_synth::{CostModel, MetricCatalog, MetricExpr, SlowModel};
 
 use crate::data::router_dataset;
 
@@ -172,15 +170,15 @@ pub(crate) fn digest_pair(seed: u64, baseline: &SearchOutcome, guided: &SearchOu
 /// final digest, which must be byte-identical to [`chaos_digest`] for the
 /// same seed at every worker count.
 ///
-/// Each search first runs under a `budget_generations` cap with durable
-/// checkpoints in a subdirectory of `dir` (`baseline/`, `guided/`), then
-/// is resumed from disk to completion by a second engine instance — the
-/// same state round trip a crash-and-restart performs.
+/// Each search first runs under a `budget_generations` cap, journaling
+/// its replies in a subdirectory of `dir` (`baseline/`, `guided/`), then
+/// is resumed from that journal to completion by a second engine
+/// instance — the same replay a crash-and-restart performs.
 ///
 /// # Panics
 ///
-/// Panics if a search or resume fails, which intact checkpoint
-/// directories cannot cause.
+/// Panics if a search or resume fails, which intact journals cannot
+/// cause.
 #[must_use]
 pub fn chaos_resume_digest(
     seed: u64,
@@ -221,11 +219,11 @@ pub fn chaos_resume_digest(
 /// Recovers whatever a killed [`chaos_victim`] process left in `dir` and
 /// drives both searches to completion, returning the final digest.
 ///
-/// Searches whose checkpoint directory holds an intact record are resumed
-/// from it; searches the victim never reached (or that left nothing
-/// intact) are rerun from scratch. Either way the digest must match
-/// [`chaos_digest`] byte for byte — a `SIGKILL` at an arbitrary point may
-/// cost re-done work, never a different answer.
+/// Each search runs again over its journal (`baseline/`, `guided/`):
+/// the replies the victim journaled are answered from it, and a search
+/// the victim never reached simply starts. Either way the digest must
+/// match [`chaos_digest`] byte for byte — a `SIGKILL` at an arbitrary
+/// point may cost the tool calls in flight, never a different answer.
 ///
 /// # Panics
 ///
@@ -237,87 +235,24 @@ pub fn chaos_recover_digest(seed: u64, workers: usize, dir: &Path) -> String {
     let query = router_query(d.catalog());
     let hints = fmax_hints();
 
-    let baseline = resume_or_rerun(
-        chaos_engine(&model, seed, workers).resume_from(&query, None, dir.join("baseline")),
-        || chaos_engine(&model, seed, workers).run_baseline(&query, seed),
-    );
-    let guided = resume_or_rerun(
-        chaos_engine(&model, seed, workers).resume_from(
-            &query,
-            Some((&hints, Some(Confidence::STRONG))),
-            dir.join("guided"),
-        ),
-        || {
-            chaos_engine(&model, seed, workers).run_guided(
-                &query,
-                &hints,
-                Some(Confidence::STRONG),
-                seed,
-            )
-        },
-    );
+    let baseline = chaos_engine(&model, seed, workers)
+        .with_checkpoints(dir.join("baseline"))
+        .run_baseline(&query, seed)
+        .expect("chaos baseline recovery");
+    let guided = chaos_engine(&model, seed, workers)
+        .with_checkpoints(dir.join("guided"))
+        .run_guided(&query, &hints, Some(Confidence::STRONG), seed)
+        .expect("chaos guided recovery");
     digest_pair(seed, &baseline, &guided)
 }
 
-/// Falls back to a fresh run only for *absence* of usable state — a crash
-/// before the first checkpoint boundary. Any other failure (I/O, settings
-/// mismatch) propagates: recovery must never paper over a real error.
-fn resume_or_rerun(
-    resumed: nautilus::Result<SearchOutcome>,
-    rerun: impl FnOnce() -> nautilus::Result<SearchOutcome>,
-) -> SearchOutcome {
-    match resumed {
-        Ok(outcome) => outcome,
-        Err(NautilusError::Ga(GaError::Checkpoint(reason)))
-            if reason.contains("no intact checkpoint") =>
-        {
-            rerun().expect("chaos rerun after empty checkpoint dir")
-        }
-        Err(err) => panic!("chaos recovery failed: {err}"),
-    }
-}
-
-/// Wraps a cost model with a fixed per-evaluation delay. Values are
-/// untouched, so outcomes stay bit-identical — the delay only stretches
-/// wall-clock time enough for a parent process to `SIGKILL` the victim
-/// mid-search.
-struct SlowModel<'m> {
-    inner: &'m dyn CostModel,
-    delay: Duration,
-}
-
-impl std::fmt::Debug for SlowModel<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SlowModel").field("inner", &self.inner.name()).finish()
-    }
-}
-
-impl CostModel for SlowModel<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn space(&self) -> &ParamSpace {
-        self.inner.space()
-    }
-    fn catalog(&self) -> &MetricCatalog {
-        self.inner.catalog()
-    }
-    fn evaluate(&self, genome: &Genome) -> Option<MetricSet> {
-        std::thread::sleep(self.delay);
-        self.inner.evaluate(genome)
-    }
-    fn synth_time(&self, genome: &Genome) -> Duration {
-        self.inner.synth_time(genome)
-    }
-}
-
-/// Runs the full chaos pair with durable checkpoints in `dir` and an
-/// artificial `eval_delay` per evaluation — the designated victim of the
+/// Runs the full chaos pair journaling into `dir`, with an artificial
+/// `eval_delay` per evaluation — the designated victim of the
 /// kill-and-resume gate. A parent process SIGKILLs it partway; if it
 /// survives, it returns the same digest [`chaos_digest`] produces.
 ///
 /// `cancel` cooperatively stops each search at the next generation
-/// boundary (with a final checkpoint) when raised — wire it to SIGINT so
+/// boundary (with its journal synced) when raised — wire it to SIGINT so
 /// an interactive Ctrl-C also degrades into a clean resumable stop.
 ///
 /// # Panics
@@ -332,7 +267,7 @@ pub fn chaos_victim(
     cancel: Arc<AtomicBool>,
 ) -> String {
     let d = router_dataset();
-    let model = SlowModel { inner: &d.as_model(), delay: eval_delay };
+    let model = SlowModel::new(Box::new(d.as_model()), eval_delay);
     let query = router_query(d.catalog());
     let hints = fmax_hints();
     let budget = RunBudget::new().with_cancel_flag(cancel);

@@ -1,17 +1,20 @@
 //! The Nautilus search engine: baseline or hint-guided GA over a cost model.
 
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use nautilus_ga::{
     CheckpointStore, Direction, DurableIo, FitnessFn, GaEngine, GaError, GaSettings, Genome,
-    RankRoulette, RetryPolicy, RunBudget, SearchState, SupervisePolicy, Supervisor,
+    Journal, ParamSpace, RankRoulette, RetryPolicy, RunBudget, SupervisePolicy, Supervisor,
 };
 use nautilus_obs::{
     BatchEventBuffer, Fanout, ReportBuilder, RunReport, SearchObserver, Tracer, WireReader,
     WireWriter,
 };
 use nautilus_proc::{StashModel, SubprocessConfig, SubprocessEvaluator};
-use nautilus_synth::{CostModel, FaultPlan, FaultyEvaluator, JobStats, SynthJobRunner};
+use nautilus_synth::{
+    CostModel, FaultPlan, FaultyEvaluator, MetricCatalog, MetricSet, SynthJobRunner,
+};
 
 use crate::error::{NautilusError, Result};
 use crate::guided::{GuidedCrossover, GuidedMutation};
@@ -38,6 +41,72 @@ impl FitnessFn for QueryOverRunner<'_, '_> {
     fn fitness(&self, genome: &Genome) -> Option<f64> {
         let metrics = self.runner.evaluate(genome)?;
         self.query.objective(&metrics)
+    }
+}
+
+/// The run's cost model with its replies journaled (see
+/// [`nautilus_ga::checkpoint`]): a reply an earlier incarnation recorded
+/// is answered from the journal, with no model call and no delay, and a
+/// live one is recorded. It sits below the synthesis-job runner, so every
+/// reply is still charged and reported there.
+struct JournaledModel<'m> {
+    inner: &'m dyn CostModel,
+    journal: &'m Journal,
+}
+
+impl JournaledModel<'_> {
+    fn encode(metrics: Option<&MetricSet>) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.bool(metrics.is_some());
+        if let Some(metrics) = metrics {
+            w.usize(metrics.len());
+            for &v in metrics.values() {
+                w.f64(v);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// A journaled reply, or `None` when it does not decode into this
+    /// model's catalog (the reply then goes to the model again).
+    fn decode(&self, reply: &[u8]) -> Option<Option<MetricSet>> {
+        let mut r = WireReader::new(reply);
+        let metrics = if r.bool().ok()? {
+            let n = r.len_prefix().ok()?;
+            let values = (0..n).map(|_| r.f64().ok()).collect::<Option<Vec<f64>>>()?;
+            Some(self.inner.catalog().set(values).ok()?)
+        } else {
+            None
+        };
+        r.finish().ok()?;
+        Some(metrics)
+    }
+}
+
+impl CostModel for JournaledModel<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn space(&self) -> &ParamSpace {
+        self.inner.space()
+    }
+
+    fn catalog(&self) -> &MetricCatalog {
+        self.inner.catalog()
+    }
+
+    fn evaluate(&self, genome: &Genome) -> Option<MetricSet> {
+        if let Some(replayed) = self.journal.reply(genome, 0).and_then(|r| self.decode(r)) {
+            return replayed;
+        }
+        let live = self.inner.evaluate(genome);
+        self.journal.record(genome, 0, Self::encode(live.as_ref()));
+        live
+    }
+
+    fn synth_time(&self, genome: &Genome) -> Duration {
+        self.inner.synth_time(genome)
     }
 }
 
@@ -207,8 +276,8 @@ impl<'m> Nautilus<'m> {
     /// straggler hedging, and a circuit breaker per `policy` (see
     /// [`nautilus_ga::SupervisePolicy`]). The outcome's
     /// [`SearchOutcome::health`](crate::SearchOutcome) counters account for
-    /// every intervention, and the breaker's state rides checkpoints so a
-    /// resumed run continues in the same health state.
+    /// every intervention; the breaker runs in virtual time, so a resumed
+    /// run rebuilds its health state on the way.
     ///
     /// Like [`Nautilus::with_retry_policy`], supervision takes effect on
     /// runs with a supervisable evaluation path — today that means a fault
@@ -227,20 +296,25 @@ impl<'m> Nautilus<'m> {
     /// A budgeted run stops cleanly at the next generation boundary: the
     /// outcome's trace covers only the generations actually scored and
     /// [`SearchOutcome::stop`](crate::SearchOutcome) records why. With
-    /// checkpointing enabled the final state is durably on disk before the
-    /// run returns, so [`Nautilus::resume_from`] can pick it up later.
+    /// checkpointing enabled the run's journal is durably on disk before
+    /// the run returns, so running it again over the same directory (or
+    /// [`Nautilus::resume_from`]) picks it up.
     #[must_use]
     pub fn with_budget(mut self, budget: RunBudget) -> Self {
         self.budget = budget;
         self
     }
 
-    /// Writes a durable, checksummed checkpoint of the full search state
-    /// into `dir` at every generation boundary of subsequent runs.
+    /// Journals the tool replies of subsequent runs into `dir`: the cost
+    /// model's replies, or each round trip of a subprocess evaluator (see
+    /// [`nautilus_ga::checkpoint`]).
     ///
-    /// Checkpoints make runs crash-safe: after a `SIGKILL`, power loss, or
-    /// budget stop, [`Nautilus::resume_from`] continues the search and
-    /// produces bit-for-bit the outcome of an uninterrupted run.
+    /// This makes runs crash-safe and every run a resume-or-start: after a
+    /// `SIGKILL`, power loss, or budget stop, running the same search
+    /// again over `dir` answers the journaled replies from it, with no
+    /// tool call and no delay, rebuilds everything else, and produces
+    /// bit-for-bit the outcome, report and event stream of an
+    /// uninterrupted run. A journal of another search is refused.
     #[must_use]
     pub fn with_checkpoints(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
@@ -260,7 +334,7 @@ impl<'m> Nautilus<'m> {
         self
     }
 
-    /// Routes checkpoint writes through `io`, the deterministic
+    /// Routes journal writes through `io`, the deterministic
     /// fault-injection / census handle of [`nautilus_ga::durable`]. The
     /// default is the pass-through real-filesystem handle; a hostile-
     /// environment harness arms it with an [`nautilus_ga::IoFaultPlan`]
@@ -329,7 +403,8 @@ impl<'m> Nautilus<'m> {
     ) -> Result<(SearchOutcome, RunReport)> {
         let report = ReportBuilder::new();
         let fan = Fanout::pair(self.observer, &report);
-        let outcome = self.drive(query, None, seed, "baseline", &fan, None, Some(&report))?;
+        let dir = self.checkpoint_dir.as_deref();
+        let outcome = self.drive(query, None, seed, "baseline", &fan, dir, Some(&report))?;
         Ok((outcome, report.finish()))
     }
 
@@ -354,7 +429,7 @@ impl<'m> Nautilus<'m> {
             seed,
             guided_label(confidence),
             &fan,
-            None,
+            self.checkpoint_dir.as_deref(),
             Some(&report),
         )?;
         Ok((outcome, report.finish()))
@@ -386,26 +461,25 @@ impl<'m> Nautilus<'m> {
         }
     }
 
-    /// Resumes an interrupted run from the newest intact checkpoint in
-    /// `dir`, continuing to completion (or to the engine's budget).
+    /// Resumes the run whose journal is in `dir`, continuing to
+    /// completion (or to the engine's budget): the same search as running
+    /// it again over `dir` with [`Nautilus::with_checkpoints`], for a
+    /// caller that does not have the seed at hand (the journal's header
+    /// holds it).
     ///
     /// The engine must be configured like the original run: same cost
     /// model, settings (except [`Nautilus::with_eval_workers`], which
     /// never affects results), query, and — for guided runs — the same
     /// hints and confidence, passed as `hints`. The strategy label stored
-    /// in the checkpoint is validated against that configuration, and the
-    /// resumed search then replays bit-for-bit what the uninterrupted run
-    /// would have produced.
-    ///
-    /// Corrupt or truncated checkpoint files are never silently accepted:
-    /// recovery falls back to the newest file whose checksum and structure
-    /// validate, reporting each rejected file to the observer as a
-    /// `checkpoint_corrupt_skipped` event.
+    /// in the journal is validated against that configuration. A damaged
+    /// journal tail is never silently accepted: it is dropped, reported to
+    /// the observer as a `checkpoint_corrupt_skipped` event, and its
+    /// replies are asked of the tool again.
     ///
     /// # Errors
     ///
-    /// Returns a checkpoint error when `dir` holds no intact checkpoint or
-    /// the checkpointed run is incompatible with this configuration, plus
+    /// Returns a checkpoint error when `dir` holds no intact journal or
+    /// the journaled run is incompatible with this configuration, plus
     /// anything [`Nautilus::run_baseline`] can return.
     pub fn resume_from(
         &self,
@@ -414,129 +488,34 @@ impl<'m> Nautilus<'m> {
         dir: impl AsRef<Path>,
     ) -> Result<SearchOutcome> {
         let dir = dir.as_ref();
-        let store = CheckpointStore::create(dir).map_err(GaError::from)?;
-        let recovery = store.recover_observed(self.observer).map_err(GaError::from)?;
-        let state = recovery.state.ok_or_else(|| no_checkpoint(dir))?;
-        self.check_resume_label(&state, hints.map(|(_, c)| c))?;
-        let label = state.run_label.clone();
-        self.drive(query, hints, state.seed, &label, self.observer, Some((state, dir)), None)
-    }
-
-    /// [`Nautilus::resume_from`], additionally producing the run's
-    /// [`RunReport`] — continued from the report snapshot embedded in the
-    /// checkpoint, so the finished report covers the *whole* search, not
-    /// just the generations after the restart.
-    ///
-    /// Only runs started through a `_reported` entry point embed report
-    /// snapshots; resuming a plain run's checkpoint yields a report that
-    /// starts at the restored generation.
-    ///
-    /// # Errors
-    ///
-    /// As [`Nautilus::resume_from`].
-    pub fn resume_from_reported(
-        &self,
-        query: &Query,
-        hints: Option<(&HintSet, Option<Confidence>)>,
-        dir: impl AsRef<Path>,
-    ) -> Result<(SearchOutcome, RunReport)> {
-        let dir = dir.as_ref();
-        let store = CheckpointStore::create(dir).map_err(GaError::from)?;
-        let recovery = store.recover().map_err(GaError::from)?;
-        let Some(state) = recovery.state.as_ref() else {
-            return Err(no_checkpoint(dir));
+        let store = CheckpointStore::create(dir).map_err(journal_error)?;
+        let Some(header) = store.header() else {
+            return Err(NautilusError::Ga(GaError::Checkpoint(format!(
+                "no intact checkpoint found in {}",
+                dir.display()
+            ))));
         };
-        self.check_resume_label(state, hints.map(|(_, c)| c))?;
-        let report = match state.aux_blob(AUX_REPORT) {
-            Some(blob) => ReportBuilder::restore_bytes(blob).map_err(|e| {
-                GaError::Checkpoint(format!("checkpoint {AUX_REPORT} blob rejected: {e}"))
-            })?,
-            None => ReportBuilder::new(),
-        };
-        let fan = Fanout::pair(self.observer, &report);
-        recovery.replay(&fan);
-        let state = recovery.state.expect("checked above");
-        let label = state.run_label.clone();
-        let outcome =
-            self.drive(query, hints, state.seed, &label, &fan, Some((state, dir)), Some(&report))?;
-        Ok((outcome, report.finish()))
-    }
-
-    /// True when `dir` exists and holds at least one intact checkpoint —
-    /// i.e. [`Nautilus::resume_from`] on that directory would restore
-    /// state rather than fail.
-    ///
-    /// Corrupt or truncated files never count: the probe runs the same
-    /// validation as recovery, so a directory full of damaged records
-    /// answers `false`. A daemon re-adopting orphaned runs uses this to
-    /// decide between resuming and restarting from scratch without
-    /// consuming the checkpoint.
-    #[must_use]
-    pub fn has_resumable_checkpoint(dir: impl AsRef<Path>) -> bool {
-        CheckpointStore::create(dir.as_ref())
-            .ok()
-            .and_then(|store| store.recover().ok())
-            .is_some_and(|recovery| recovery.state.is_some())
-    }
-
-    /// Resumes from the configured checkpoint directory when it holds an
-    /// intact checkpoint, otherwise starts the run fresh — the idempotent
-    /// entry point a supervisor calls after adopting a run it may or may
-    /// not have executed before.
-    ///
-    /// Requires [`Nautilus::with_checkpoints`]; the same directory serves
-    /// as both the resume source and the fresh run's checkpoint target, so
-    /// calling this again after *any* interruption continues where the
-    /// previous attempt stopped. Either way the result covers the whole
-    /// search: resumed runs restore the report snapshot embedded in the
-    /// checkpoint and replay bit-for-bit what an uninterrupted run would
-    /// have produced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GaError::InvalidConfig`] when no checkpoint directory is
-    /// configured, plus anything [`Nautilus::resume_from_reported`] or the
-    /// fresh `_reported` entry points can return.
-    pub fn resume_or_start_reported(
-        &self,
-        query: &Query,
-        hints: Option<(&HintSet, Option<Confidence>)>,
-        seed: u64,
-    ) -> Result<(SearchOutcome, RunReport)> {
-        let Some(dir) = self.checkpoint_dir.clone() else {
-            return Err(NautilusError::Ga(GaError::InvalidConfig(
-                "resume_or_start_reported requires with_checkpoints(dir)".into(),
-            )));
-        };
-        if Self::has_resumable_checkpoint(&dir) {
-            return self.resume_from_reported(query, hints, &dir);
-        }
-        match hints {
-            Some((h, confidence)) => self.run_guided_reported(query, h, confidence, seed),
-            None => self.run_baseline_reported(query, seed),
-        }
-    }
-
-    /// Rejects a resume whose guidance configuration cannot have produced
-    /// the checkpointed run: the strategy label is part of the persisted
-    /// state precisely so a guided run cannot silently continue as a
-    /// baseline (or vice versa) with a divergent operator set.
-    fn check_resume_label(
-        &self,
-        state: &SearchState,
-        confidence: Option<Option<Confidence>>,
-    ) -> Result<()> {
-        let expected = match confidence {
-            Some(c) => guided_label(c),
+        let expected = match hints {
+            Some((_, c)) => guided_label(c),
             None => "baseline",
         };
-        if state.run_label != expected {
+        if header.run_label != expected {
             return Err(NautilusError::Ga(GaError::Checkpoint(format!(
                 "checkpoint belongs to a `{}` run but resume is configured as `{expected}`",
-                state.run_label
+                header.run_label
             ))));
         }
-        Ok(())
+        self.drive(query, hints, header.seed, expected, self.observer, Some(dir), None)
+    }
+
+    /// True when `dir` holds a journal with at least one reply, i.e. a
+    /// run over it would answer something from the journal instead of
+    /// the tool. A damaged journal counts for its intact prefix; a
+    /// directory without one answers `false`. A daemon re-adopting
+    /// orphaned runs reports this.
+    #[must_use]
+    pub fn has_resumable_checkpoint(dir: impl AsRef<Path>) -> bool {
+        CheckpointStore::create(dir.as_ref()).is_ok_and(|store| store.journal().replies() > 0)
     }
 
     fn run_inner(
@@ -546,7 +525,15 @@ impl<'m> Nautilus<'m> {
         seed: u64,
         label: &str,
     ) -> Result<SearchOutcome> {
-        self.drive(query, guidance, seed, label, self.observer, None, None)
+        self.drive(
+            query,
+            guidance,
+            seed,
+            label,
+            self.observer,
+            self.checkpoint_dir.as_deref(),
+            None,
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -557,7 +544,7 @@ impl<'m> Nautilus<'m> {
         seed: u64,
         label: &str,
         observer: &dyn SearchObserver,
-        resume: Option<(SearchState, &Path)>,
+        checkpoint_dir: Option<&Path>,
         report: Option<&ReportBuilder>,
     ) -> Result<SearchOutcome> {
         // The runner's per-lookup events go through a capture-aware buffer:
@@ -574,14 +561,30 @@ impl<'m> Nautilus<'m> {
             ));
         }
         let buffered = BatchEventBuffer::new(observer);
+        let store = match checkpoint_dir {
+            Some(dir) => Some(
+                CheckpointStore::create(dir)
+                    .map_err(journal_error)?
+                    .with_io(self.checkpoint_io.clone()),
+            ),
+            None => None,
+        };
+        let journal = store.as_ref().map(CheckpointStore::journal);
         // With a subprocess evaluator installed, the job runner charges
         // and caches over a stand-in model that serves the child tool's
         // stashed replies — so job accounting, cache behaviour, and
-        // EvalCompleted telemetry are identical to an in-process run.
+        // EvalCompleted telemetry are identical to an in-process run. The
+        // evaluator journals its round trips itself; otherwise the model
+        // below the runner is what a journal answers for.
         let stash_model = self.subprocess.as_ref().map(|_| StashModel::new(self.model));
-        let model: &dyn CostModel = match &stash_model {
-            Some(stash) => stash,
-            None => self.model,
+        let journaled = match (&journal, &stash_model) {
+            (Some(journal), None) => Some(JournaledModel { inner: self.model, journal }),
+            _ => None,
+        };
+        let model: &dyn CostModel = match (&stash_model, &journaled) {
+            (Some(stash), _) => stash,
+            (None, Some(journaled)) => journaled,
+            (None, None) => self.model,
         };
         // With nothing fallible between the GA's EvalCache and the runner,
         // that cache answers every repeat and the prefetch dedupes
@@ -595,25 +598,18 @@ impl<'m> Nautilus<'m> {
             SynthJobRunner::without_memo(model)
         }
         .with_observer(&buffered);
-        // Synthesis-job counters accumulated by the interrupted process
-        // ride in the checkpoint's aux blob; the fresh runner restarts at
-        // zero and the offset is added back everywhere totals surface.
-        let jobs_offset = match &resume {
-            Some((state, _)) => match state.aux_blob(AUX_JOBS) {
-                Some(blob) => decode_job_stats(blob).map_err(|e| {
-                    GaError::Checkpoint(format!("checkpoint {AUX_JOBS} blob rejected: {e}"))
-                })?,
-                None => JobStats::default(),
-            },
-            None => JobStats::default(),
-        };
         let fitness = QueryOverRunner { runner: &runner, query };
         let faulty = self.fault_plan.map(|plan| FaultyEvaluator::new(&fitness, plan));
         let subproc = match &self.subprocess {
-            Some(config) => Some(
-                SubprocessEvaluator::spawn(config.clone(), self.model, &fitness, &buffered)
-                    .map_err(|e| NautilusError::Subprocess(e.to_string()))?,
-            ),
+            Some(config) => {
+                let eval =
+                    SubprocessEvaluator::spawn(config.clone(), self.model, &fitness, &buffered)
+                        .map_err(|e| NautilusError::Subprocess(e.to_string()))?;
+                Some(match &journal {
+                    Some(journal) => eval.with_journal(journal),
+                    None => eval,
+                })
+            }
             None => None,
         };
         // Supervision wraps the supervisable evaluation path; without one
@@ -625,18 +621,6 @@ impl<'m> Nautilus<'m> {
             (None, Some(s), Some(policy)) => Some(Supervisor::new(s).with_policy(policy)),
             _ => None,
         };
-        // Snapshot closure run at every checkpoint boundary: cumulative job
-        // stats always, plus the report builder's state on reported runs.
-        let aux = || {
-            let mut blobs = vec![(
-                AUX_JOBS.to_owned(),
-                encode_job_stats(&merge_jobs(jobs_offset, runner.stats())),
-            )];
-            if let Some(builder) = report {
-                blobs.push((AUX_REPORT.to_owned(), builder.snapshot_bytes()));
-            }
-            blobs
-        };
         let mut engine = GaEngine::new(self.model.space(), &fitness)
             .with_settings(self.settings)
             .with_selector(Box::new(RankRoulette::new(1.10)))
@@ -645,13 +629,8 @@ impl<'m> Nautilus<'m> {
             .with_retry_policy(self.retry)
             .with_run_label(label)
             .with_budget(self.budget.clone());
-        let checkpoint_dir =
-            resume.as_ref().map(|(_, dir)| *dir).or(self.checkpoint_dir.as_deref());
-        if let Some(dir) = checkpoint_dir {
-            let store = CheckpointStore::create(dir)
-                .map_err(GaError::from)?
-                .with_io(self.checkpoint_io.clone());
-            engine = engine.with_checkpoints(store).with_checkpoint_aux(&aux);
+        if let Some(store) = store {
+            engine = engine.with_checkpoints(store);
         }
         if let Some(faulty) = &faulty {
             engine = engine.with_fallible_evaluator(faulty);
@@ -680,10 +659,7 @@ impl<'m> Nautilus<'m> {
         if let Some(tracer) = self.tracer {
             engine = engine.with_tracer(tracer);
         }
-        let run = match resume {
-            Some((state, _)) => engine.resume(state)?,
-            None => engine.run(seed)?,
-        };
+        let run = engine.run(seed)?;
         if let (Some(tracer), Some(builder)) = (self.tracer, report) {
             builder.attach_phases(tracer.phase_stats());
         }
@@ -702,7 +678,7 @@ impl<'m> Nautilus<'m> {
                 .collect(),
             best_genome: run.best_genome,
             best_value: run.best_value,
-            jobs: merge_jobs(jobs_offset, runner.stats()),
+            jobs: runner.stats(),
             faults: run.faults,
             health: run.health,
             stop: run.stop,
@@ -710,46 +686,9 @@ impl<'m> Nautilus<'m> {
     }
 }
 
-/// Aux-blob key for cumulative [`JobStats`] inside checkpoint records.
-const AUX_JOBS: &str = "synth.jobs";
-/// Aux-blob key for the [`ReportBuilder`] snapshot inside checkpoint records.
-const AUX_REPORT: &str = "obs.report";
-
-fn no_checkpoint(dir: &Path) -> NautilusError {
-    NautilusError::Ga(GaError::Checkpoint(format!(
-        "no intact checkpoint found in {}",
-        dir.display()
-    )))
-}
-
-fn merge_jobs(offset: JobStats, current: JobStats) -> JobStats {
-    JobStats {
-        jobs: offset.jobs + current.jobs,
-        infeasible: offset.infeasible + current.infeasible,
-        cache_hits: offset.cache_hits + current.cache_hits,
-        simulated_tool_secs: offset.simulated_tool_secs + current.simulated_tool_secs,
-    }
-}
-
-fn encode_job_stats(stats: &JobStats) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(stats.jobs);
-    w.u64(stats.infeasible);
-    w.u64(stats.cache_hits);
-    w.u64(stats.simulated_tool_secs);
-    w.into_bytes()
-}
-
-fn decode_job_stats(blob: &[u8]) -> std::result::Result<JobStats, nautilus_obs::WireError> {
-    let mut r = WireReader::new(blob);
-    let stats = JobStats {
-        jobs: r.u64()?,
-        infeasible: r.u64()?,
-        cache_hits: r.u64()?,
-        simulated_tool_secs: r.u64()?,
-    };
-    r.finish()?;
-    Ok(stats)
+/// A checkpoint directory that cannot be read.
+fn journal_error(e: std::io::Error) -> GaError {
+    GaError::Checkpoint(format!("i/o failure: {e}"))
 }
 
 /// Strategy label for a guided run, matching the paper's footnote-2 naming

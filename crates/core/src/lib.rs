@@ -153,14 +153,11 @@ pub use nautilus_obs::{HealthState, HealthTally};
 pub use nautilus_obs::{Phase, PhaseStat, TraceSink, Tracer};
 
 /// Crash-safe search, re-exported from `nautilus-ga`: cap runs with
-/// [`Nautilus::with_budget`], persist state with
-/// [`Nautilus::with_checkpoints`], continue interrupted searches with
-/// [`Nautilus::resume_from`], and read why a run stopped off
+/// [`Nautilus::with_budget`], journal tool replies with
+/// [`Nautilus::with_checkpoints`] (running again over the same directory
+/// resumes), and read why a run stopped off
 /// [`SearchOutcome::stop`](SearchOutcome).
-pub use nautilus_ga::{
-    BudgetTimer, CheckpointError, CheckpointStore, Recovery, RunBudget, SearchState, SharedClock,
-    StopReason,
-};
+pub use nautilus_ga::{BudgetTimer, CheckpointStore, RunBudget, SharedClock, StopReason};
 
 /// Hostile-environment hardening, re-exported from `nautilus-ga`: route
 /// durable writes through a [`DurableIo`] handle armed with a seeded

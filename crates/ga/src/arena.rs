@@ -11,8 +11,8 @@
 //! * breeding writes child genes into the *next* buffer, then
 //!   [`PopArena::swap`] flips the buffers without freeing either
 //!   allocation (a bump arena that resets instead of reallocating),
-//! * only API boundaries (operators, selectors, checkpoints) rehydrate
-//!   full [`Genome`] values, and populations are small there.
+//! * only API boundaries (operators, selectors) rehydrate full
+//!   [`Genome`] values, and populations are small there.
 //!
 //! Determinism is unaffected: the arena stores exactly the genes a
 //! `Vec<Genome>` population stored, in the same order.
@@ -37,8 +37,8 @@ impl PopArena {
         PopArena { gene_len, cur: Vec::new(), next: Vec::new() }
     }
 
-    /// Builds an arena from an existing population (checkpoint resume,
-    /// initial population).
+    /// Builds an arena from an existing population (the initial
+    /// population).
     ///
     /// # Panics
     ///
@@ -119,13 +119,6 @@ impl PopArena {
         std::mem::swap(&mut self.cur, &mut self.next);
         self.next.clear();
     }
-
-    /// Rehydrates the current generation as owned genomes (checkpoint
-    /// boundaries, API edges).
-    #[must_use]
-    pub fn to_genomes(&self) -> Vec<Genome> {
-        self.rows().map(|r| Genome::from_genes(r.to_vec())).collect()
-    }
 }
 
 #[cfg(test)]
@@ -140,8 +133,9 @@ mod tests {
         assert_eq!(arena.len(), 4);
         assert_eq!(arena.gene_len(), 3);
         assert_eq!(arena.row(2), &[2, 3, 4]);
-        assert_eq!(arena.to_genomes(), pop);
-        assert_eq!(arena.rows().count(), 4);
+        let rows: Vec<&[u32]> = arena.rows().collect();
+        let genes: Vec<&[u32]> = pop.iter().map(Genome::genes).collect();
+        assert_eq!(rows, genes);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::rng::RowBuildHasher;
 ///
 /// Keys hash with [`RowHasher`](crate::rng::RowHasher), so a lookup by a
 /// borrowed `&[u32]` row costs a few multiplies, not a SipHash pass.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalCache {
     map: HashMap<Genome, Option<f64>, RowBuildHasher>,
     quarantined: HashSet<Genome, RowBuildHasher>,
@@ -186,62 +186,6 @@ impl EvalCache {
             quarantined: self.quarantined.len() as u64,
         }
     }
-
-    /// A complete, deterministic snapshot of the cache: every memoized
-    /// entry, the quarantine set, and all counters.
-    ///
-    /// Entries are sorted by genome so the same cache state always
-    /// produces the same snapshot regardless of `HashMap` iteration
-    /// order — checkpoints of identical runs must be byte-identical.
-    #[must_use]
-    pub fn snapshot(&self) -> CacheSnapshot {
-        let mut entries: Vec<(Genome, Option<f64>)> =
-            self.map.iter().map(|(g, v)| (g.clone(), *v)).collect();
-        entries.sort_by(|a, b| a.0.genes().cmp(b.0.genes()));
-        let mut quarantined: Vec<Genome> = self.quarantined.iter().cloned().collect();
-        quarantined.sort_by(|a, b| a.genes().cmp(b.genes()));
-        CacheSnapshot {
-            entries,
-            quarantined,
-            hits: self.hits,
-            feasible_misses: self.feasible_misses,
-            infeasible_misses: self.infeasible_misses,
-        }
-    }
-
-    /// Rebuilds a cache from a [`CacheSnapshot`], restoring entries,
-    /// quarantine membership and counters exactly.
-    #[must_use]
-    pub fn restore(snapshot: &CacheSnapshot) -> EvalCache {
-        EvalCache {
-            map: snapshot.entries.iter().cloned().collect(),
-            quarantined: snapshot.quarantined.iter().cloned().collect(),
-            hits: snapshot.hits,
-            feasible_misses: snapshot.feasible_misses,
-            infeasible_misses: snapshot.infeasible_misses,
-        }
-    }
-}
-
-/// A deterministic, order-stable dump of an [`EvalCache`], used by the
-/// checkpoint subsystem.
-///
-/// `entries` and `quarantined` are sorted by genome; counters are carried
-/// verbatim so `EvalCache::restore(&c.snapshot())` reproduces `c` exactly
-/// (same `stats()`, same memoized values, same quarantine behavior).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CacheSnapshot {
-    /// Memoized `(genome, fitness)` pairs, sorted by genome; `None` marks
-    /// infeasible or quarantined points.
-    pub entries: Vec<(Genome, Option<f64>)>,
-    /// Quarantined genomes (a subset of `entries` keys), sorted.
-    pub quarantined: Vec<Genome>,
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Distinct feasible evaluations.
-    pub feasible_misses: u64,
-    /// Distinct infeasible evaluations (excluding quarantines).
-    pub infeasible_misses: u64,
 }
 
 /// Snapshot of [`EvalCache`] counters, attached to run results.
@@ -358,28 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_round_trips_entries_quarantine_and_counters() {
-        let mut c = EvalCache::new();
-        c.get_or_eval(&g(3), |_| Some(7.5));
-        c.get_or_eval(&g(3), |_| Some(99.0)); // hit
-        c.get_or_eval(&g(1), |_| None);
-        c.insert_quarantined(&[2]);
-        let snap = c.snapshot();
-        // Sorted by genome regardless of HashMap iteration order.
-        let keys: Vec<u32> = snap.entries.iter().map(|(g, _)| g.gene_at(0)).collect();
-        assert_eq!(keys, vec![1, 2, 3]);
-        assert_eq!(snap.quarantined.len(), 1);
-
-        let r = EvalCache::restore(&snap);
-        assert_eq!(r.stats(), c.stats());
-        assert_eq!(r.peek(&[3]), Some(Some(7.5)));
-        assert_eq!(r.peek(&[1]), Some(None));
-        assert!(r.is_quarantined(&[2]));
-        assert!(!r.is_quarantined(&[1]));
-        assert_eq!(r.snapshot(), snap, "snapshot of a restore is identical");
-    }
-
-    #[test]
     fn genome_keys_are_found_by_row_and_snapshots_ignore_insertion_order() {
         use crate::rng::{RowBuildHasher, SearchRng};
         use std::hash::BuildHasher;
@@ -409,8 +331,8 @@ mod tests {
         let mut a = fill(EvalCache::new(), &forward);
         let b = fill(EvalCache::with_capacity(4), &backward);
         let c = fill(EvalCache::with_capacity(1 << 12), &shuffled);
-        assert_eq!(a.snapshot(), b.snapshot(), "reverse insertion changed the snapshot");
-        assert_eq!(a.snapshot(), c.snapshot(), "shuffled insertion changed the snapshot");
+        assert_eq!(a, b, "reverse insertion changed the cache");
+        assert_eq!(a, c, "shuffled insertion changed the cache");
 
         let build = RowBuildHasher::default();
         for r in &rows {

@@ -1,11 +1,12 @@
 //! Deterministic I/O fault injection for every durable write point.
 //!
-//! All of Nautilus' crash-recovery guarantees (checkpoints, job specs,
-//! result records, event logs, cancel markers, the daemon endpoint file)
-//! rest on a single discipline: write to a dot-prefixed temporary, fsync
-//! it, rename it over the final name, fsync the directory entry. This
-//! module owns that discipline behind a [`DurableIo`] handle so that a
-//! test harness can make any individual step fail — deterministically,
+//! All of Nautilus' crash-recovery guarantees (the checkpoint journal,
+//! job specs, result records, event logs, cancel markers, the daemon
+//! endpoint file) rest on a single discipline: write to a dot-prefixed
+//! temporary, fsync it, rename it over the final name, fsync the
+//! directory entry; or append to a log and fsync it. This module owns
+//! that discipline behind a [`DurableIo`] handle so that a test harness
+//! can make any individual step fail — deterministically,
 //! by write-point index — and prove the system either surfaces a typed
 //! error or recovers byte-identically in its next incarnation.
 //!
@@ -24,7 +25,7 @@
 //!   (`DurableIo::reserve`), so moving the I/O off a thread never moves
 //!   the index.
 //! * **Site labels.** Callers tag every operation with a stable site
-//!   string (`ckpt.gen`, `job.spec`, `job.events`, ...) so a census can
+//!   string (`ckpt.append`, `job.spec`, `job.events`, ...) so a census can
 //!   group indices by what the write protects, and injected errors name
 //!   the site they hit.
 //!
@@ -155,7 +156,7 @@ pub fn fault_label(message: &str) -> &'static str {
 pub struct WritePoint {
     /// The operation's index in the shared counter sequence.
     pub index: u64,
-    /// The caller-supplied site label (`ckpt.gen`, `job.spec`, ...).
+    /// The caller-supplied site label (`ckpt.append`, `job.spec`, ...).
     pub site: String,
 }
 
@@ -172,7 +173,7 @@ struct IoState {
 /// write-point recording when opened in census mode.
 ///
 /// Clones share the same counter, plan, and census, so one handle can be
-/// threaded through every layer of a process (checkpoint store, job
+/// threaded through every layer of a process (checkpoint journal, job
 /// dirs, event logs, endpoint file) and observe a single global
 /// write-point sequence.
 #[derive(Debug, Clone, Default)]
@@ -280,10 +281,10 @@ impl DurableIo {
         Self::replace(dir, final_name, bytes, site, self.next(site))
     }
 
-    /// Takes the next write point for an atomic write at `site` now —
-    /// its index, its census entry and any fault the plan holds for it —
-    /// and leaves the I/O for [`ReservedWrite::write_atomic`], which may
-    /// run later and on another thread.
+    /// Takes the next write point at `site` now — its index, its census
+    /// entry and any fault the plan holds for it — and leaves the I/O for
+    /// [`ReservedWrite::write_atomic`] or [`ReservedWrite::sync`], which
+    /// may run later and on another thread.
     pub(crate) fn reserve(&self, site: &str) -> ReservedWrite {
         ReservedWrite { site: site.to_owned(), injected: self.next(site) }
     }
@@ -367,7 +368,7 @@ impl DurableIo {
     /// # Errors
     ///
     /// Any real filesystem error, or the injected fault for this point.
-    pub fn append(&self, file: &mut fs::File, bytes: &[u8], site: &str) -> io::Result<()> {
+    pub fn append(&self, mut file: &fs::File, bytes: &[u8], site: &str) -> io::Result<()> {
         if let Some((index, kind)) = self.next(site) {
             match kind {
                 IoFaultKind::WriteEnospc => return Err(Self::fault(site, index, kind)),
@@ -389,10 +390,17 @@ impl DurableIo {
     ///
     /// Any real filesystem error, or the injected fault for this point.
     pub fn sync(&self, file: &fs::File, site: &str) -> io::Result<()> {
-        if let Some((index, kind)) = self.next(site) {
-            if matches!(kind, IoFaultKind::SyncFail | IoFaultKind::DirSyncFail) {
-                return Err(Self::fault(site, index, kind));
-            }
+        Self::sync_at(file, site, self.next(site))
+    }
+
+    /// [`DurableIo::sync`] at a write point already taken.
+    fn sync_at(
+        file: &fs::File,
+        site: &str,
+        injected: Option<(u64, IoFaultKind)>,
+    ) -> io::Result<()> {
+        if let Some((index, kind @ (IoFaultKind::SyncFail | IoFaultKind::DirSyncFail))) = injected {
+            return Err(Self::fault(site, index, kind));
         }
         file.sync_all()
     }
@@ -431,6 +439,11 @@ impl ReservedWrite {
     pub(crate) fn write_atomic(self, dir: &Path, final_name: &str, bytes: &[u8]) -> io::Result<()> {
         DurableIo::replace(dir, final_name, bytes, &self.site, self.injected)
     }
+
+    /// [`DurableIo::sync`] at this write point.
+    pub(crate) fn sync(self, file: &fs::File) -> io::Result<()> {
+        DurableIo::sync_at(file, &self.site, self.injected)
+    }
 }
 
 #[cfg(test)]
@@ -462,8 +475,8 @@ mod tests {
         let dir = tempdir("census");
         let io = DurableIo::census();
         io.write_atomic(&dir, "a.bin", b"one", "site.a").unwrap();
-        let mut log = io.create(&dir.join("log"), "site.log").unwrap();
-        io.append(&mut log, b"line\n", "site.log").unwrap();
+        let log = io.create(&dir.join("log"), "site.log").unwrap();
+        io.append(&log, b"line\n", "site.log").unwrap();
         io.sync(&log, "site.log").unwrap();
         let points = io.write_points();
         let sites: Vec<&str> = points.iter().map(|p| p.site.as_str()).collect();
@@ -511,12 +524,12 @@ mod tests {
     fn torn_append_lands_a_prefix_then_fails() {
         let dir = tempdir("torn-append");
         let io = DurableIo::with_plan(IoFaultPlan::new().fail_at(1, IoFaultKind::Torn));
-        let mut log = io.create(&dir.join("log"), "t").unwrap();
-        let err = io.append(&mut log, b"abcdefgh", "t").unwrap_err();
+        let log = io.create(&dir.join("log"), "t").unwrap();
+        let err = io.append(&log, b"abcdefgh", "t").unwrap_err();
         assert!(err.to_string().contains("torn_write"), "{err}");
         assert_eq!(fs::read(dir.join("log")).unwrap(), b"abcd");
         // Subsequent appends keep working: the log is torn, not dead.
-        io.append(&mut log, b"-rest", "t").unwrap();
+        io.append(&log, b"-rest", "t").unwrap();
         assert_eq!(fs::read(dir.join("log")).unwrap(), b"abcd-rest");
         let _ = fs::remove_dir_all(&dir);
     }

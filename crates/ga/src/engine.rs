@@ -9,7 +9,7 @@ use nautilus_obs::{capture_events, Phase, SearchEvent, SearchObserver, SpanRecor
 use crate::arena::PopArena;
 use crate::budget::{RunBudget, StopReason};
 use crate::cache::{CacheStats, EvalCache};
-use crate::checkpoint::{CheckpointStore, SearchState, WriteBehind};
+use crate::checkpoint::{CheckpointStore, JournalHeader, JournalWriter};
 use crate::error::{GaError, Result};
 use crate::fallible::{
     evaluate_with_retries, EvalRecord, FallibleEvaluator, FaultStats, RetryPolicy,
@@ -23,19 +23,10 @@ use crate::select::{ScoredGenome, Selector, Tournament};
 use crate::space::ParamSpace;
 use crate::supervise::{Admission, AttemptOutcome, SuperviseSession, SuperviseStats, Supervisor};
 
-/// Checkpoint aux-blob key carrying the supervision session (circuit
-/// breaker state plus whole-run health counters) across a resume.
-pub const AUX_BREAKER: &str = "ga.breaker";
-
 /// The most entries a run reserves up front, for its history and for its
 /// evaluation cache alike. Both are sized from `generations`, which a
 /// daemon client chooses: past this bound they grow on demand instead.
 const RESERVE_LIMIT: usize = 4096;
-
-/// Callback producing auxiliary blobs to embed in every checkpoint (the
-/// `nautilus` crate uses it to carry its report snapshot and synthesis-job
-/// counters across a resume).
-pub type AuxSnapshotFn<'a> = &'a (dyn Fn() -> Vec<(String, Vec<u8>)> + Send + Sync);
 
 /// Scalar knobs of a GA run.
 ///
@@ -196,7 +187,6 @@ pub struct GaEngine<'a> {
     retry: RetryPolicy,
     budget: RunBudget,
     checkpoints: Option<CheckpointStore>,
-    aux: Option<AuxSnapshotFn<'a>>,
     supervisor: Option<&'a Supervisor<'a>>,
     tracer: Option<&'a Tracer>,
 }
@@ -218,7 +208,6 @@ impl<'a> GaEngine<'a> {
             retry: RetryPolicy::default(),
             budget: RunBudget::new(),
             checkpoints: None,
-            aux: None,
             supervisor: None,
             tracer: None,
         }
@@ -308,9 +297,8 @@ impl<'a> GaEngine<'a> {
 
     /// Installs a [`Supervisor`]: every generation's misses are
     /// prefetched under supervision (watchdog deadlines, straggler
-    /// hedging, circuit breaker) at every `eval_workers` setting, and the
-    /// breaker state rides every checkpoint under the [`AUX_BREAKER`] aux
-    /// key.
+    /// hedging, circuit breaker) at every `eval_workers` setting. The
+    /// breaker runs in virtual time, so a resumed run rebuilds its state.
     ///
     /// The initial population stays unsupervised — supervision is a
     /// property of the generational loop. It is scored through the
@@ -323,7 +311,7 @@ impl<'a> GaEngine<'a> {
     }
 
     /// Installs a [`RunBudget`]: the run is checked at every generation
-    /// boundary and halts (cleanly, with a final checkpoint when a store
+    /// boundary and halts (cleanly, with its journal synced when a store
     /// is configured) as soon as any limit is exceeded. The reason lands
     /// in [`GaRun::stop`].
     #[must_use]
@@ -332,29 +320,21 @@ impl<'a> GaEngine<'a> {
         self
     }
 
-    /// Writes a durable checkpoint into `store` at every generation
-    /// boundary, so the run can be resumed after a crash or budget stop
-    /// with [`GaEngine::resume`].
+    /// Journals the run's tool replies into `store` (see
+    /// [`crate::checkpoint`]), so running again with the same seed over
+    /// the same store after a crash or budget stop resumes it: the
+    /// replies the journal holds are answered from it, and the run
+    /// rebuilds everything else on the way to where it stopped.
     ///
-    /// Writes run behind the search on one writer thread per run, one
-    /// at a time: each boundary's fsyncs overlap the next generation's
-    /// evaluations. The engine waits for the write at the next boundary,
-    /// before acting on a budget stop, and before the run returns, so a
-    /// failed write still ends the run with [`GaError::Checkpoint`], at
-    /// most one generation later.
+    /// Each scoring batch's replies are appended as it ends; each
+    /// generation boundary's fsync runs behind the search on one writer
+    /// thread per run and overlaps the next generation's evaluations. The
+    /// engine waits for it at the next boundary and before the run
+    /// returns, so a failed write still ends the run with
+    /// [`GaError::Checkpoint`], at most one generation later.
     #[must_use]
     pub fn with_checkpoints(mut self, store: CheckpointStore) -> Self {
         self.checkpoints = Some(store);
-        self
-    }
-
-    /// Installs a callback whose blobs are embedded (keyed) in every
-    /// checkpoint, letting higher layers persist their own state alongside
-    /// the engine's. Blobs come back verbatim via
-    /// [`SearchState::aux_blob`] after recovery.
-    #[must_use]
-    pub fn with_checkpoint_aux(mut self, aux: AuxSnapshotFn<'a>) -> Self {
-        self.aux = Some(aux);
         self
     }
 
@@ -370,63 +350,19 @@ impl<'a> GaEngine<'a> {
         self.space
     }
 
-    /// Executes one full run with the given seed.
+    /// Executes one full run with the given seed. With a checkpoint
+    /// store ([`GaEngine::with_checkpoints`]) whose journal an earlier run
+    /// of the same seed, label and settings wrote, this resumes that run.
     ///
     /// # Errors
     ///
-    /// Returns [`GaError::InvalidConfig`] for inconsistent settings and
+    /// Returns [`GaError::InvalidConfig`] for inconsistent settings,
     /// [`GaError::NoFeasibleGenome`] if the initial population cannot find
-    /// any feasible design point within the retry budget.
+    /// any feasible design point within the retry budget, and
+    /// [`GaError::Checkpoint`] when the store's journal belongs to another
+    /// run (`eval_workers` is exempt — worker count never affects results)
+    /// or a journal write fails.
     pub fn run(&self, seed: u64) -> Result<GaRun> {
-        self.drive(seed, None)
-    }
-
-    /// Continues a run from a checkpointed [`SearchState`].
-    ///
-    /// The resumed run produces the same [`GaRun`] (history, best genome,
-    /// cache counters) as the uninterrupted run would have, at any
-    /// `eval_workers` setting: the state carries the exact RNG stream
-    /// position and evaluation cache of the original process.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GaError::Checkpoint`] when the engine's settings are
-    /// incompatible with the checkpointed ones (`eval_workers` is exempt —
-    /// worker count never affects results), plus everything
-    /// [`GaEngine::run`] can return.
-    pub fn resume(&self, state: SearchState) -> Result<GaRun> {
-        let theirs = state.settings;
-        let ours = self.settings;
-        let compatible = ours.population == theirs.population
-            && ours.generations == theirs.generations
-            && ours.crossover_rate == theirs.crossover_rate
-            && ours.elitism == theirs.elitism
-            && ours.init_retries == theirs.init_retries;
-        if !compatible {
-            return Err(GaError::Checkpoint(format!(
-                "engine settings {ours:?} incompatible with checkpointed {theirs:?}"
-            )));
-        }
-        if state.generation == 0 || state.generation > self.settings.generations {
-            return Err(GaError::Checkpoint(format!(
-                "checkpoint generation {} outside run's 1..={}",
-                state.generation, self.settings.generations
-            )));
-        }
-        if state.population.len() != self.settings.population {
-            return Err(GaError::Checkpoint(format!(
-                "checkpoint population {} does not match settings {}",
-                state.population.len(),
-                self.settings.population
-            )));
-        }
-        let seed = state.seed;
-        self.drive(seed, Some(state))
-    }
-
-    /// Shared run loop behind [`GaEngine::run`] (fresh start) and
-    /// [`GaEngine::resume`] (continue from a checkpointed boundary).
-    fn drive(&self, seed: u64, resume: Option<SearchState>) -> Result<GaRun> {
         self.settings.validate()?;
         self.retry.validate().map_err(GaError::InvalidConfig)?;
         let mut session: Option<SuperviseSession> = match self.supervisor {
@@ -450,10 +386,14 @@ impl<'a> GaEngine<'a> {
         // self times telescope to the run's wall clock.
         let mut rec = self.tracer.map(|t| t.recorder("merge"));
         let run_span = rec.as_ref().map(SpanRecorder::begin);
-        // Write-behind checkpoints: each boundary's record is committed
-        // on this writer while the next generation evaluates. Dropping it
-        // waits for the last write, so it never outlives `drive`.
-        let mut writer = self.checkpoints.as_ref().map(WriteBehind::spawn).transpose()?;
+        // The journal of tool replies: each scoring batch's replies are
+        // appended as it ends, each boundary's fsync runs on the journal's
+        // writer thread while the next generation evaluates. Dropping it
+        // waits for the last write, so it never outlives the run.
+        let mut journal = match &self.checkpoints {
+            Some(store) => Some(self.open_journal(store, seed)?),
+            None => None,
+        };
         // Run-scoped scoring buffer: each initial-population round is
         // drawn into its first slots, each generation copied into all.
         let mut scored: Vec<ScoredGenome> = (0..self.settings.population)
@@ -463,116 +403,62 @@ impl<'a> GaEngine<'a> {
             })
             .collect();
 
-        let mut rng;
-        let mut cache;
-        let mut faults;
-        let mut population: PopArena;
-        let mut history: Vec<GenStats>;
-        let mut best_genome: Option<Genome>;
-        let mut best_value;
-        let mut attempts;
-        let start_generation;
-        // Best value already pinned to `best.nckpt`; avoids rewriting the
-        // pin at boundaries where the best did not improve.
-        let mut pinned_best: Option<f64>;
-
-        if let Some(state) = resume {
-            // Restore supervision state (breaker + health counters) from
-            // the aux blob before the state's fields are moved out.
-            if let Some(sup) = self.supervisor {
-                if let Some(bytes) = state.aux_blob(AUX_BREAKER) {
-                    session =
-                        Some(SuperviseSession::restore_bytes(*sup.policy(), bytes).map_err(
-                            |e| GaError::Checkpoint(format!("supervision snapshot: {e}")),
-                        )?);
-                }
-            }
-            rng = SearchRng::from_state(state.rng);
-            cache = EvalCache::restore(&state.cache);
-            faults = state.faults;
-            population = PopArena::from_genomes(&state.population);
-            history = state.history;
-            best_genome = state.best_genome;
-            best_value =
-                if best_genome.is_some() { state.best_value } else { direction.worst_value() };
-            attempts = state.init_attempts;
-            start_generation = state.generation;
-            pinned_best = best_genome.is_some().then_some(best_value);
-            if obs.enabled() {
-                obs.on_event(&SearchEvent::RunResumed {
-                    strategy: self.run_label.clone(),
-                    seed,
-                    generation: start_generation,
-                });
-            }
-        } else {
-            // Scored generations, the initial population's included.
-            let scorings = (self.settings.generations as usize).saturating_add(1);
-            rng = SearchRng::seed_from_u64(seed);
-            let rows = scorings.saturating_mul(self.settings.population);
-            cache = EvalCache::with_capacity(rows.min(RESERVE_LIMIT));
-            faults = FaultStats::default();
-            best_genome = None;
-            best_value = direction.worst_value();
-            start_generation = 0;
-            pinned_best = None;
-            if obs.enabled() {
-                obs.on_event(&SearchEvent::RunStart {
-                    strategy: self.run_label.clone(),
-                    seed,
-                    params: self
-                        .space
-                        .param_ids()
-                        .map(|id| self.space.param(id).name().to_owned())
-                        .collect(),
-                    population: self.settings.population,
-                    generations: self.settings.generations,
-                });
-            }
-
-            // --- Initial population ---------------------------------------
-            let mut init_pop: Vec<Genome> = Vec::with_capacity(self.settings.population);
-            let max_attempts = self.settings.population * self.settings.init_retries;
-            attempts = 0;
-            let init_start = rec.as_ref().map(SpanRecorder::begin);
-            while init_pop.len() < self.settings.population {
-                if attempts >= max_attempts {
-                    if init_pop.is_empty() {
-                        return Err(GaError::NoFeasibleGenome { attempts });
-                    }
-                    fill_partial(&mut init_pop, self.settings.population);
-                    break;
-                }
-                // A round of the draws a one-at-a-time loop would make: a
-                // draw adds at most one feasible genome, so that loop
-                // would keep drawing through the whole round, and scoring
-                // never touches the RNG. The round is unsupervised.
-                let round_len =
-                    (self.settings.population - init_pop.len()).min(max_attempts - attempts);
-                attempts += round_len;
-                let round = &mut scored[..round_len];
-                for member in round.iter_mut() {
-                    member.genome = self.space.random_genome(&mut rng);
-                }
-                self.score(
-                    round,
-                    None,
-                    &mut cache,
-                    &mut faults,
-                    None,
-                    &pool,
-                    &mut rec,
-                    |m, raw| {
-                        init_pop.extend(raw.map(|_| m.genome.clone()));
-                    },
-                );
-            }
-            if let (Some(r), Some(start)) = (rec.as_mut(), init_start) {
-                r.end(Phase::InitPopulation, start);
-            }
-            population = PopArena::from_genomes(&init_pop);
-            history = Vec::with_capacity(scorings.min(RESERVE_LIMIT));
+        // Scored generations, the initial population's included.
+        let scorings = (self.settings.generations as usize).saturating_add(1);
+        let mut rng = SearchRng::seed_from_u64(seed);
+        let rows = scorings.saturating_mul(self.settings.population);
+        let mut cache = EvalCache::with_capacity(rows.min(RESERVE_LIMIT));
+        let mut faults = FaultStats::default();
+        let mut best_genome: Option<Genome> = None;
+        let mut best_value = direction.worst_value();
+        if obs.enabled() {
+            obs.on_event(&SearchEvent::RunStart {
+                strategy: self.run_label.clone(),
+                seed,
+                params: self
+                    .space
+                    .param_ids()
+                    .map(|id| self.space.param(id).name().to_owned())
+                    .collect(),
+                population: self.settings.population,
+                generations: self.settings.generations,
+            });
         }
+
+        // --- Initial population -------------------------------------------
+        let mut init_pop: Vec<Genome> = Vec::with_capacity(self.settings.population);
+        let max_attempts = self.settings.population * self.settings.init_retries;
+        let mut attempts = 0;
+        let init_start = rec.as_ref().map(SpanRecorder::begin);
+        while init_pop.len() < self.settings.population {
+            if attempts >= max_attempts {
+                if init_pop.is_empty() {
+                    return Err(GaError::NoFeasibleGenome { attempts });
+                }
+                fill_partial(&mut init_pop, self.settings.population);
+                break;
+            }
+            // A round of the draws a one-at-a-time loop would make: a draw
+            // adds at most one feasible genome, so that loop would keep
+            // drawing through the whole round, and scoring never touches
+            // the RNG. The round is unsupervised.
+            let round_len =
+                (self.settings.population - init_pop.len()).min(max_attempts - attempts);
+            attempts += round_len;
+            let round = &mut scored[..round_len];
+            for member in round.iter_mut() {
+                member.genome = self.space.random_genome(&mut rng);
+            }
+            self.score(round, None, &mut cache, &mut faults, None, &pool, &mut rec, |m, raw| {
+                init_pop.extend(raw.map(|_| m.genome.clone()));
+            });
+            flush_journal(&mut journal, &mut rec, 0)?;
+        }
+        if let (Some(r), Some(start)) = (rec.as_mut(), init_start) {
+            r.end(Phase::InitPopulation, start);
+        }
+        let mut population = PopArena::from_genomes(&init_pop);
+        let mut history: Vec<GenStats> = Vec::with_capacity(scorings.min(RESERVE_LIMIT));
 
         // --- Generational loop --------------------------------------------
         let mut stop = StopReason::Completed;
@@ -580,7 +466,7 @@ impl<'a> GaEngine<'a> {
         let scratch = || Genome::from_genes(Vec::with_capacity(population.gene_len()));
         let (mut ca, mut cb) = (scratch(), scratch());
 
-        for generation in start_generation..=self.settings.generations {
+        for generation in 0..=self.settings.generations {
             if obs.enabled() {
                 obs.on_event(&SearchEvent::GenerationStart { generation });
             }
@@ -601,6 +487,7 @@ impl<'a> GaEngine<'a> {
                     member.score = raw.map_or(f64::NEG_INFINITY, |v| direction.to_score(v))
                 },
             );
+            flush_journal(&mut journal, &mut rec, generation)?;
             // Best-first, deterministic tie-break on the genome itself.
             scored.sort_by(|a, b| {
                 b.score
@@ -695,45 +582,22 @@ impl<'a> GaEngine<'a> {
             }
             population.swap();
 
-            // --- Generation boundary: checkpoint, then budget check -------
+            // --- Generation boundary: journal sync, then budget check -----
             let next_generation = generation + 1;
-            if let Some(writer) = writer.as_mut() {
-                let improved = best_genome.is_some()
-                    && pinned_best.is_none_or(|pinned| direction.is_better(best_value, pinned));
-                let mut aux = self.aux.map_or_else(Vec::new, |f| f());
-                if let Some(session) = &session {
-                    aux.push((AUX_BREAKER.to_owned(), session.snapshot_bytes()));
-                }
-                let state = SearchState {
-                    seed,
-                    run_label: self.run_label.clone(),
-                    settings: self.settings,
-                    generation: next_generation,
-                    rng: rng.state(),
-                    population: population.to_genomes(),
-                    history: history.clone(),
-                    best_genome: best_genome.clone(),
-                    best_value,
-                    init_attempts: attempts,
-                    cache: cache.snapshot(),
-                    faults,
-                    aux,
-                };
-                // Waits for the previous boundary's write, then encodes
-                // and reserves this one's write points here, so the
-                // durable index sequence and the event below keep their
-                // synchronous order; the I/O runs on the writer.
-                let receipt =
-                    timed(&mut rec, Phase::CheckpointIo, || writer.submit(&state, improved))?;
-                if improved {
-                    pinned_best = Some(best_value);
-                }
+            if let Some(journal) = journal.as_mut() {
+                // Waits for the previous boundary's sync and reserves this
+                // one's write point here, so the durable index sequence
+                // and the event below keep their synchronous order; the
+                // fsync runs on the writer thread.
+                let started = std::time::Instant::now();
+                let bytes = timed(&mut rec, Phase::CheckpointIo, || journal.boundary())
+                    .map_err(journal_error)?;
                 if obs.enabled() {
                     obs.on_event(&SearchEvent::CheckpointWritten {
                         generation: next_generation,
-                        bytes: receipt.bytes,
-                        write_nanos: receipt.write_nanos,
-                        path: receipt.path.display().to_string(),
+                        bytes,
+                        write_nanos: nanos_since(started),
+                        path: journal.path().display().to_string(),
                     });
                 }
             }
@@ -752,21 +616,28 @@ impl<'a> GaEngine<'a> {
 
         // The last boundary's write lands before the run reports a stop
         // or returns its result.
-        if let Some(writer) = writer.as_mut() {
-            timed(&mut rec, Phase::CheckpointIo, || writer.wait())?;
+        if let Some(journal) = journal.as_mut() {
+            timed(&mut rec, Phase::CheckpointIo, || journal.finish()).map_err(journal_error)?;
         }
         let best_genome = best_genome.ok_or(GaError::NoFeasibleGenome { attempts })?;
         if obs.enabled() {
+            let next = history.last().map_or(0, |h| h.generation + 1);
+            if let Some((journal, generation)) =
+                journal.as_ref().and_then(|j| Some((j, j.restored(next)?)))
+            {
+                let path = journal.path().display().to_string();
+                obs.on_event(&SearchEvent::CheckpointRestored { generation, path });
+            }
             if stop.is_interrupted() {
                 obs.on_event(&SearchEvent::RunInterrupted {
-                    generation: history.last().map_or(0, |h| h.generation + 1),
+                    generation: next,
                     reason: stop.as_str().to_owned(),
                 });
             } else {
                 obs.on_event(&SearchEvent::RunEnd {
                     best_value,
                     distinct_evals: cache.distinct_evals(),
-                    wall_nanos: u64::try_from(run_clock.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                    wall_nanos: nanos_since(run_clock),
                 });
             }
         }
@@ -783,6 +654,34 @@ impl<'a> GaEngine<'a> {
             health: session.as_ref().map_or_else(SuperviseStats::default, SuperviseSession::stats),
             stop,
         })
+    }
+
+    /// Opens the journal of `store` for this run, reporting a damaged
+    /// tail the store dropped.
+    fn open_journal(&self, store: &CheckpointStore, seed: u64) -> Result<JournalWriter> {
+        let ours =
+            JournalHeader { seed, run_label: self.run_label.clone(), settings: self.settings };
+        if let Some(theirs) = store.header() {
+            if !theirs.admits(&ours) {
+                return Err(GaError::Checkpoint(format!(
+                    "the journal in {} belongs to a `{}` run of seed {} with settings {:?}, not \
+                     this `{}` run of seed {seed} with {:?}",
+                    store.dir().display(),
+                    theirs.run_label,
+                    theirs.seed,
+                    theirs.settings,
+                    ours.run_label,
+                    ours.settings
+                )));
+            }
+        }
+        if let (Some(reason), true) = (store.damage(), self.observer.enabled()) {
+            self.observer.on_event(&SearchEvent::CheckpointCorruptSkipped {
+                path: store.path().display().to_string(),
+                reason: reason.to_owned(),
+            });
+        }
+        JournalWriter::open(store, &ours).map_err(journal_error)
     }
 
     /// The one scoring loop, for every initial-population round
@@ -1087,6 +986,30 @@ enum Prefetched {
     /// A supervised miss's attempt outcomes, flagged when breaker
     /// admission made it a probe; the loop resolves them.
     Precomputed(Vec<AttemptOutcome>, bool),
+}
+
+/// Appends the replies the scoring batch just recorded to the run's
+/// journal, if it keeps one.
+fn flush_journal(
+    journal: &mut Option<JournalWriter>,
+    rec: &mut Option<SpanRecorder<'_>>,
+    generation: u32,
+) -> Result<()> {
+    match journal.as_mut() {
+        Some(journal) => {
+            timed(rec, Phase::CheckpointIo, || journal.flush(generation)).map_err(journal_error)
+        }
+        None => Ok(()),
+    }
+}
+
+/// A failed journal read or write, as the run reports it.
+fn journal_error(e: std::io::Error) -> GaError {
+    GaError::Checkpoint(format!("i/o failure: {e}"))
+}
+
+fn nanos_since(started: std::time::Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Fills an initial population that ended short of `population` by

@@ -36,8 +36,8 @@ pub enum GaError {
     },
     /// A configuration knob was set outside its legal range.
     InvalidConfig(String),
-    /// A checkpoint could not be written, read, or validated, or a resume
-    /// was attempted against an incompatible engine configuration.
+    /// The checkpoint journal could not be written or read, or belongs to
+    /// another run.
     Checkpoint(String),
 }
 
@@ -64,12 +64,6 @@ impl fmt::Display for GaError {
 }
 
 impl Error for GaError {}
-
-impl From<crate::checkpoint::CheckpointError> for GaError {
-    fn from(err: crate::checkpoint::CheckpointError) -> Self {
-        GaError::Checkpoint(err.to_string())
-    }
-}
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, GaError>;

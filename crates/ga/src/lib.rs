@@ -65,10 +65,10 @@ mod supervise;
 
 pub use arena::PopArena;
 pub use budget::{BudgetTimer, RunBudget, SharedClock, StopReason};
-pub use cache::{CacheSnapshot, CacheStats, EvalCache};
-pub use checkpoint::{CheckpointError, CheckpointStore, Recovery, SearchState, WriteReceipt};
+pub use cache::{CacheStats, EvalCache};
+pub use checkpoint::{CheckpointStore, Journal, JournalHeader};
 pub use durable::{fault_label, DurableIo, IoFaultKind, IoFaultPlan, WritePoint};
-pub use engine::{AuxSnapshotFn, GaEngine, GaRun, GaSettings, GenStats, AUX_BREAKER};
+pub use engine::{GaEngine, GaRun, GaSettings, GenStats};
 pub use error::{GaError, Result};
 pub use fallible::{
     evaluate_with_retries, retry_backoff, EvalFailure, EvalRecord, FallibleEvaluator, FaultStats,

@@ -189,21 +189,18 @@ pub fn check_cases(name: &str, cases: u64, mut case: impl FnMut(&mut SearchRng))
 /// with its own draws.
 ///
 /// [`GaEngine`](crate::GaEngine) owns its whole random stream through this
-/// type rather than an opaque library generator so that the exact stream
-/// position can be captured into a checkpoint ([`SearchRng::state`]) and
-/// restored on resume ([`SearchRng::from_state`]) — a resumed run then
-/// draws the very same numbers an uninterrupted run would have drawn.
-/// The draws ([`unit`](SearchRng::unit), [`below`](SearchRng::below),
+/// type rather than an opaque library generator, and the draws
+/// ([`unit`](SearchRng::unit), [`below`](SearchRng::below),
 /// [`chance`](SearchRng::chance)) are defined here too, so no library
-/// upgrade can change what a seed or a resumed checkpoint draws; every
-/// recorded outcome depends on that.
+/// upgrade can change what a seed draws. Every recorded outcome depends
+/// on that, and so does resuming a run: a resume runs again from the seed
+/// and must draw the very same numbers.
 ///
 /// ```
 /// use nautilus_ga::rng::SearchRng;
 /// let mut a = SearchRng::seed_from_u64(42);
-/// let saved = a.state();
+/// let mut b = SearchRng::seed_from_u64(42);
 /// let expect: Vec<u64> = (0..4).map(|_| a.next_u64()).collect();
-/// let mut b = SearchRng::from_state(saved);
 /// let replay: Vec<u64> = (0..4).map(|_| b.next_u64()).collect();
 /// assert_eq!(expect, replay);
 /// ```
@@ -226,22 +223,6 @@ impl SearchRng {
             z ^ (z >> 31)
         };
         SearchRng { s: [next(), next(), next(), next()] }
-    }
-
-    /// The current stream position, suitable for checkpointing.
-    #[must_use]
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuilds a generator at a previously captured stream position.
-    ///
-    /// The all-zero state is the xoshiro fixed point (it only ever emits
-    /// zero); it cannot arise from [`SearchRng::seed_from_u64`], so a
-    /// restored checkpoint never hits it.
-    #[must_use]
-    pub fn from_state(s: [u64; 4]) -> SearchRng {
-        SearchRng { s }
     }
 
     /// The next word of the stream.
@@ -400,19 +381,6 @@ mod tests {
         for p in [-0.1, 1.5, f64::NAN] {
             assert!(catch_unwind(|| rng.clone().chance(p)).is_err(), "chance({p}) must panic");
         }
-    }
-
-    #[test]
-    fn search_rng_state_round_trips_mid_stream() {
-        let mut rng = SearchRng::seed_from_u64(1234);
-        for _ in 0..37 {
-            rng.next_u64();
-        }
-        let saved = rng.state();
-        let tail: Vec<u64> = (0..64).map(|_| rng.next_u64()).collect();
-        let mut resumed = SearchRng::from_state(saved);
-        let replay: Vec<u64> = (0..64).map(|_| resumed.next_u64()).collect();
-        assert_eq!(tail, replay, "resumed stream must continue exactly");
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 use std::collections::VecDeque;
 
-use nautilus_obs::{HealthState, SearchEvent, SearchObserver, WireError, WireReader, WireWriter};
+use nautilus_obs::{HealthState, SearchEvent, SearchObserver};
 
 use crate::fallible::{retry_backoff, EvalFailure, EvalRecord, FallibleEvaluator, RetryPolicy};
 use crate::genome::Genome;
@@ -394,8 +394,7 @@ impl CircuitBreaker {
 
 /// Immutable supervision front-end the engine borrows: the evaluator
 /// plus the policy bundle. Mutable per-run state lives in
-/// [`SuperviseSession`], which the engine creates (or restores from a
-/// checkpoint aux blob) inside each run.
+/// [`SuperviseSession`], which the engine creates inside each run.
 pub struct Supervisor<'a> {
     eval: &'a dyn SupervisableEvaluator,
     policy: SupervisePolicy,
@@ -464,9 +463,6 @@ impl std::fmt::Debug for Supervisor<'_> {
     }
 }
 
-/// Version tag for the [`SuperviseSession::snapshot_bytes`] wire format.
-const SESSION_SNAPSHOT_VERSION: u32 = 1;
-
 /// Mutable per-run supervision state: the circuit breaker, whole-run
 /// counters, and per-batch hedging state.
 ///
@@ -480,9 +476,7 @@ pub struct SuperviseSession {
     policy: SupervisePolicy,
     breaker: CircuitBreaker,
     stats: SuperviseStats,
-    // Per-batch hedging state (reset by `begin_batch`; deliberately not
-    // persisted — checkpoints land on generation boundaries, between
-    // batches).
+    // Per-batch hedging state (reset by `begin_batch`).
     admitted_total: usize,
     resolved_genomes: usize,
     /// Sorted effective-attempt durations observed this batch.
@@ -666,94 +660,6 @@ impl SuperviseSession {
             }
         }
         record
-    }
-
-    /// Serializes the breaker state and whole-run counters for the
-    /// checkpoint aux blob. Per-batch hedging state is excluded:
-    /// checkpoints land on generation boundaries, between batches.
-    #[must_use]
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u32(SESSION_SNAPSHOT_VERSION);
-        w.u32(match self.breaker.state {
-            HealthState::Closed => 0,
-            HealthState::Open => 1,
-            HealthState::HalfOpen => 2,
-        });
-        w.usize(self.breaker.window.len());
-        for failed in &self.breaker.window {
-            w.bool(*failed);
-        }
-        w.u64(self.breaker.sheds_in_open);
-        w.u64(self.breaker.probe_successes);
-        let s = &self.stats;
-        w.u64(s.attempts_supervised);
-        w.u64(s.watchdog_fired);
-        w.u64(s.late_results_discarded);
-        w.u64(s.hedges_issued);
-        w.u64(s.hedges_won);
-        w.u64(s.hedges_wasted);
-        w.u64(s.breaker_trips);
-        w.u64(s.breaker_recoveries);
-        w.u64(s.breaker_probes);
-        w.u64(s.evals_shed);
-        w.into_bytes()
-    }
-
-    /// Reconstructs a session from [`SuperviseSession::snapshot_bytes`]
-    /// output, under the given policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on truncated, malformed or
-    /// unknown-version input.
-    pub fn restore_bytes(policy: SupervisePolicy, bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(bytes);
-        let version = r.u32()?;
-        if version != SESSION_SNAPSHOT_VERSION {
-            return Err(WireError(format!("unknown supervise snapshot version {version}")));
-        }
-        let state = match r.u32()? {
-            0 => HealthState::Closed,
-            1 => HealthState::Open,
-            2 => HealthState::HalfOpen,
-            other => return Err(WireError(format!("unknown breaker state tag {other}"))),
-        };
-        let n = r.len_prefix()?;
-        let mut window = VecDeque::with_capacity(n.min(1024));
-        for _ in 0..n {
-            window.push_back(r.bool()?);
-        }
-        let sheds_in_open = r.u64()?;
-        let probe_successes = r.u64()?;
-        let stats = SuperviseStats {
-            attempts_supervised: r.u64()?,
-            watchdog_fired: r.u64()?,
-            late_results_discarded: r.u64()?,
-            hedges_issued: r.u64()?,
-            hedges_won: r.u64()?,
-            hedges_wasted: r.u64()?,
-            breaker_trips: r.u64()?,
-            breaker_recoveries: r.u64()?,
-            breaker_probes: r.u64()?,
-            evals_shed: r.u64()?,
-        };
-        r.finish()?;
-        Ok(SuperviseSession {
-            breaker: CircuitBreaker {
-                policy: policy.breaker,
-                state,
-                window,
-                sheds_in_open,
-                probe_successes,
-                probes_admitted_this_batch: 0,
-            },
-            policy,
-            stats,
-            admitted_total: 0,
-            resolved_genomes: 0,
-            durations: Vec::new(),
-        })
     }
 
     /// Updates trip/recovery counters and emits the transition event.
@@ -1124,40 +1030,6 @@ mod tests {
         assert_eq!(session.health(), HealthState::Open, "a failing probe re-opens");
         assert_eq!(session.stats().breaker_trips, 2);
         assert_eq!(session.stats().breaker_recoveries, 0);
-    }
-
-    #[test]
-    fn session_snapshot_round_trips() {
-        let mut p = SupervisePolicy::default();
-        p.breaker =
-            BreakerPolicy { window: 4, min_samples: 2, trip_failure_rate: 0.5, ..p.breaker };
-        let failing = Scripted(|_, _| AttemptOutcome::Finished {
-            result: Err(EvalFailure::Persistent("down".into())),
-            cost_ms: 10,
-        });
-        let mut session = SuperviseSession::new(p);
-        let obs = nautilus_obs::noop();
-        session.begin_batch();
-        for x in 0..3u32 {
-            if session.admit(obs) == Admission::Evaluate {
-                let _ = session.resolve(&failing, &RetryPolicy::none(), &g(x), &[], false, obs);
-            }
-        }
-        let bytes = session.snapshot_bytes();
-        let restored = SuperviseSession::restore_bytes(p, &bytes).expect("snapshot restores");
-        assert_eq!(restored.snapshot_bytes(), bytes, "round-trip is byte-identical");
-        assert_eq!(restored.health(), session.health());
-        assert_eq!(restored.stats(), session.stats());
-        // Truncations and version garbage are rejected.
-        for cut in 0..bytes.len() {
-            assert!(
-                SuperviseSession::restore_bytes(p, &bytes[..cut]).is_err(),
-                "truncation at {cut} silently restored"
-            );
-        }
-        let mut versioned = bytes.clone();
-        versioned[0] = 0xFF;
-        assert!(SuperviseSession::restore_bytes(p, &versioned).is_err());
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Crash-safety integration tests: budget stops, checkpoint/resume
-//! byte-identity, and corruption recovery at the engine level.
+//! Crash-safety integration tests: budget stops, resume by replaying the
+//! journal byte-identically, and recovery from damaged journals at the
+//! engine level.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use nautilus_ga::{
-    CheckpointStore, Direction, DurableIo, FnFitness, GaEngine, GaError, GaRun, GaSettings, Genome,
-    IoFaultKind, IoFaultPlan, ParamSpace, RunBudget, SearchState, SharedClock, StopReason,
+    CheckpointStore, Direction, DurableIo, FitnessFn, FnFitness, GaEngine, GaError, GaRun,
+    GaSettings, Genome, IoFaultKind, IoFaultPlan, Journal, ParamSpace, RunBudget, SharedClock,
+    StopReason, UniformMutation,
 };
 use nautilus_obs::{InMemorySink, SearchEvent};
 
@@ -16,10 +18,63 @@ fn space() -> ParamSpace {
     ParamSpace::builder().int("x", 0, 31, 1).int("y", 0, 31, 1).int("z", 0, 31, 1).build().unwrap()
 }
 
+fn sphere_value(g: &Genome) -> f64 {
+    g.genes().iter().map(|&v| f64::from(v) * f64::from(v)).sum()
+}
+
 fn sphere() -> FnFitness<impl Fn(&Genome) -> Option<f64> + Send + Sync> {
-    FnFitness::new(Direction::Minimize, |g: &Genome| {
-        Some(g.genes().iter().map(|&v| f64::from(v) * f64::from(v)).sum())
-    })
+    FnFitness::new(Direction::Minimize, |g: &Genome| Some(sphere_value(g)))
+}
+
+/// The sphere behind a journal, the way a tool wrapper uses one: a reply
+/// the journal holds is answered from it, a live one is recorded. `calls`
+/// counts the live ones: the tool calls.
+struct JournaledSphere {
+    journal: Arc<Journal>,
+    calls: AtomicU64,
+}
+
+impl FitnessFn for JournaledSphere {
+    fn direction(&self) -> Direction {
+        Direction::Minimize
+    }
+
+    fn fitness(&self, g: &Genome) -> Option<f64> {
+        if let Some(reply) = self.journal.reply(g, 0) {
+            return Some(f64::from_le_bytes(reply.try_into().expect("8-byte reply")));
+        }
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        let value = sphere_value(g);
+        self.journal.record(g, 0, value.to_le_bytes().to_vec());
+        Some(value)
+    }
+}
+
+/// A store over `dir` and the sphere journaled in it.
+fn journaled(dir: &Path, io: DurableIo) -> (CheckpointStore, JournaledSphere) {
+    let store = CheckpointStore::create(dir).unwrap().with_io(io);
+    let fitness = JournaledSphere { journal: store.journal(), calls: AtomicU64::new(0) };
+    (store, fitness)
+}
+
+/// Runs the journaled sphere over `dir` and returns the run with its tool
+/// calls.
+fn run_journaled(
+    dir: &Path,
+    settings: GaSettings,
+    budget: RunBudget,
+    seed: u64,
+    sink: &InMemorySink,
+) -> (Result<GaRun, GaError>, u64) {
+    let s = space();
+    let (store, f) = journaled(dir, DurableIo::real());
+    let run = GaEngine::new(&s, &f)
+        .with_settings(settings)
+        .with_observer(sink)
+        .with_budget(budget)
+        .with_checkpoints(store)
+        .run(seed);
+    (run, f.calls.load(Ordering::Relaxed))
 }
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -29,110 +84,106 @@ fn tempdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Event-stream digest stripped of timing-dependent and durability-only
-/// events: what must be identical between a straight run and an
-/// interrupted+resumed pair.
+fn journal_path(dir: &Path) -> PathBuf {
+    CheckpointStore::create(dir).unwrap().path()
+}
+
+/// Event-stream digest stripped of the run's wall time, batch shapes and
+/// the durability events only journaled runs emit: what must be identical
+/// between a straight run and a resumed one.
 fn strip(events: &[SearchEvent]) -> Vec<String> {
     events
         .iter()
         .filter(|e| {
             !matches!(
                 e,
-                SearchEvent::RunEnd { .. }
-                    | SearchEvent::EvalBatch { .. }
+                SearchEvent::EvalBatch { .. }
                     | SearchEvent::CheckpointWritten { .. }
                     | SearchEvent::CheckpointRestored { .. }
                     | SearchEvent::CheckpointCorruptSkipped { .. }
-                    | SearchEvent::RunInterrupted { .. }
-                    | SearchEvent::RunResumed { .. }
             )
         })
-        .map(SearchEvent::to_json)
+        .map(|e| match e {
+            SearchEvent::RunEnd { best_value, distinct_evals, .. } => SearchEvent::RunEnd {
+                best_value: *best_value,
+                distinct_evals: *distinct_evals,
+                wall_nanos: 0,
+            }
+            .to_json(),
+            other => other.to_json(),
+        })
         .collect()
 }
 
 #[test]
 fn resumed_runs_are_byte_identical_at_any_worker_count() {
-    let s = space();
-    let f = sphere();
     let seed = 0xD1CE;
     for workers in [1usize, 2, 8] {
         let settings = GaSettings { generations: 12, eval_workers: workers, ..Default::default() };
+        let straight_dir = tempdir(&format!("identity-straight-w{workers}"));
         let straight_sink = InMemorySink::new();
-        let straight = GaEngine::new(&s, &f)
-            .with_settings(settings)
-            .with_observer(&straight_sink)
-            .run(seed)
-            .unwrap();
+        let (straight, straight_calls) =
+            run_journaled(&straight_dir, settings, RunBudget::new(), seed, &straight_sink);
+        let straight = straight.unwrap();
         assert_eq!(straight.stop, StopReason::Completed);
 
         let dir = tempdir(&format!("identity-w{workers}"));
-        let part_sink = InMemorySink::new();
-        let interrupted = GaEngine::new(&s, &f)
-            .with_settings(settings)
-            .with_observer(&part_sink)
-            .with_budget(RunBudget::new().with_max_generations(5))
-            .with_checkpoints(CheckpointStore::create(&dir).unwrap())
-            .run(seed)
-            .unwrap();
+        let budget = RunBudget::new().with_max_generations(5);
+        let (interrupted, cut_calls) =
+            run_journaled(&dir, settings, budget, seed, &InMemorySink::new());
+        let interrupted = interrupted.unwrap();
         assert_eq!(interrupted.stop, StopReason::GenerationBudget);
         assert_eq!(interrupted.history.len(), 6, "generations 0..=5 scored");
 
-        let recovery = CheckpointStore::create(&dir).unwrap().recover().unwrap();
-        let state = recovery.state.expect("final checkpoint present");
-        assert!(recovery.skipped.is_empty());
-        assert_eq!(state.generation, 6);
-
         let resume_sink = InMemorySink::new();
-        let resumed = GaEngine::new(&s, &f)
-            .with_settings(settings)
-            .with_observer(&resume_sink)
-            .resume(state)
-            .unwrap();
-        assert_eq!(resumed, straight, "resumed GaRun must equal the uninterrupted one");
-
-        // Concatenated (interrupted + resumed) event stream, minus timing
-        // and durability events, must equal the straight stream.
-        let mut spliced = part_sink.events();
-        spliced.extend(resume_sink.events());
+        let (resumed, resumed_calls) =
+            run_journaled(&dir, settings, RunBudget::new(), seed, &resume_sink);
+        assert_eq!(resumed.unwrap(), straight, "resumed GaRun must equal the uninterrupted one");
+        // The resumed run alone re-emits the straight run's whole stream,
+        // and asks the tool only for what the interrupted run had not.
         assert_eq!(
-            strip(&spliced),
+            strip(&resume_sink.events()),
             strip(&straight_sink.events()),
             "event streams diverged at workers={workers}"
         );
+        assert_eq!(cut_calls + resumed_calls, straight_calls, "tool calls at workers={workers}");
+        assert!(resume_sink
+            .events()
+            .iter()
+            .any(|e| matches!(e, SearchEvent::CheckpointRestored { generation: 6, .. })));
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&straight_dir).ok();
     }
 }
 
 #[test]
 fn resuming_a_completed_runs_terminal_checkpoint_returns_its_outcome() {
-    // The newest checkpoint of a completed run sits at the last boundary
-    // (generation = generations, bred but not yet scored). Resuming it
-    // re-scores the final generation and returns the finished run — so
-    // crash recovery never has to care whether the victim died mid-run or
-    // right at the end.
-    let s = space();
-    let f = sphere();
+    // Running a completed run again over its journal replays the whole run
+    // without one tool call and returns the finished run — so crash
+    // recovery never has to care whether the victim died mid-run or right
+    // at the end.
     let settings = GaSettings { generations: 7, ..Default::default() };
     let dir = tempdir("terminal");
-    let straight = GaEngine::new(&s, &f)
-        .with_settings(settings)
-        .with_checkpoints(CheckpointStore::create(&dir).unwrap())
-        .run(41)
-        .unwrap();
+    let sink = InMemorySink::new();
+    let (straight, calls) = run_journaled(&dir, settings, RunBudget::new(), 41, &sink);
+    let straight = straight.unwrap();
     assert_eq!(straight.stop, StopReason::Completed);
+    assert!(calls > 0);
 
-    let state = CheckpointStore::create(&dir).unwrap().recover().unwrap().state.unwrap();
-    assert_eq!(state.generation, 7, "newest checkpoint sits at the final boundary");
-    let resumed = GaEngine::new(&s, &f).with_settings(settings).resume(state).unwrap();
-    assert_eq!(resumed, straight);
-    assert_eq!(resumed.stop, StopReason::Completed);
+    let sink = InMemorySink::new();
+    let (resumed, calls) = run_journaled(&dir, settings, RunBudget::new(), 41, &sink);
+    assert_eq!(resumed.unwrap(), straight);
+    assert_eq!(calls, 0, "a finished journal answers every reply");
+    assert!(sink
+        .events()
+        .iter()
+        .any(|e| matches!(e, SearchEvent::CheckpointRestored { generation: 8, .. })));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn resume_works_across_different_worker_counts() {
-    // A checkpoint written by a serial run must resume identically under 8
+    // A journal written by a serial run must resume identically under 8
     // workers (and vice versa): worker count is not part of run identity.
     let s = space();
     let f = sphere();
@@ -143,17 +194,12 @@ fn resume_works_across_different_worker_counts() {
         .unwrap();
 
     let dir = tempdir("xworkers");
-    GaEngine::new(&s, &f)
-        .with_settings(GaSettings { generations: 10, eval_workers: 1, ..Default::default() })
-        .with_budget(RunBudget::new().with_max_generations(4))
-        .with_checkpoints(CheckpointStore::create(&dir).unwrap())
-        .run(seed)
-        .unwrap();
-    let state = CheckpointStore::create(&dir).unwrap().recover().unwrap().state.unwrap();
-    let resumed = GaEngine::new(&s, &f)
-        .with_settings(GaSettings { generations: 10, eval_workers: 8, ..Default::default() })
-        .resume(state)
-        .unwrap();
+    let serial = GaSettings { generations: 10, eval_workers: 1, ..Default::default() };
+    let budget = RunBudget::new().with_max_generations(4);
+    run_journaled(&dir, serial, budget, seed, &InMemorySink::new()).0.unwrap();
+    let parallel = GaSettings { generations: 10, eval_workers: 8, ..Default::default() };
+    let (resumed, _) = run_journaled(&dir, parallel, RunBudget::new(), seed, &InMemorySink::new());
+    let resumed = resumed.unwrap();
     assert_eq!(resumed.history, straight.history);
     assert_eq!(resumed.best_genome, straight.best_genome);
     assert_eq!(resumed.cache, straight.cache);
@@ -203,16 +249,11 @@ fn budget_stops_are_clean_and_reported() {
 
 #[test]
 fn interrupted_run_emits_run_interrupted_instead_of_run_end() {
-    let s = space();
-    let f = sphere();
     let sink = InMemorySink::new();
     let dir = tempdir("events");
-    let run = GaEngine::new(&s, &f)
-        .with_observer(&sink)
-        .with_budget(RunBudget::new().with_max_generations(2))
-        .with_checkpoints(CheckpointStore::create(&dir).unwrap())
-        .run(11)
-        .unwrap();
+    let budget = RunBudget::new().with_max_generations(2);
+    let (run, _) = run_journaled(&dir, GaSettings::default(), budget, 11, &sink);
+    let run = run.unwrap();
     assert_eq!(run.stop, StopReason::GenerationBudget);
     let events = sink.events();
     assert!(!events.iter().any(|e| matches!(e, SearchEvent::RunEnd { .. })));
@@ -226,175 +267,140 @@ fn interrupted_run_emits_run_interrupted_instead_of_run_end() {
         })
         .collect();
     assert_eq!(interrupted, vec![(3, "generation_budget".to_owned())]);
-    let written: Vec<u32> = events
+    let written: Vec<(u32, u64)> = events
         .iter()
         .filter_map(|e| match e {
-            SearchEvent::CheckpointWritten { generation, bytes, .. } => {
-                assert!(*bytes > 0);
-                Some(*generation)
-            }
+            SearchEvent::CheckpointWritten { generation, bytes, .. } => Some((*generation, *bytes)),
             _ => None,
         })
         .collect();
-    assert_eq!(written, vec![1, 2, 3], "one checkpoint per boundary");
+    let generations: Vec<u32> = written.iter().map(|w| w.0).collect();
+    assert_eq!(generations, vec![1, 2, 3], "one checkpoint per boundary");
+    // Every byte the run wrote is announced at some boundary.
+    let announced: u64 = written.iter().map(|w| w.1).sum();
+    assert_eq!(announced, std::fs::metadata(journal_path(&dir)).unwrap().len());
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn recovery_falls_back_past_a_corrupt_newest_checkpoint() {
-    let s = space();
-    let f = sphere();
     let seed = 5;
     let settings = GaSettings { generations: 9, ..Default::default() };
-    let straight = GaEngine::new(&s, &f).with_settings(settings).run(seed).unwrap();
+    let straight = GaEngine::new(&space(), &sphere()).with_settings(settings).run(seed).unwrap();
 
     let dir = tempdir("fallback");
-    GaEngine::new(&s, &f)
-        .with_settings(settings)
-        .with_budget(RunBudget::new().with_max_generations(4))
-        .with_checkpoints(CheckpointStore::create(&dir).unwrap().with_keep_last(4))
-        .run(seed)
-        .unwrap();
-    // Corrupt the newest checkpoint (gen 5) by flipping one body bit.
-    let newest = dir.join("ckpt-00000005.nckpt");
-    let mut bytes = std::fs::read(&newest).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&newest, &bytes).unwrap();
+    let budget = RunBudget::new().with_max_generations(4);
+    let (_, cut_calls) = run_journaled(&dir, settings, budget, seed, &InMemorySink::new());
+    // Corrupt the newest record by flipping one bit of its body.
+    let path = journal_path(&dir);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = bytes.len() - 10;
+    bytes[at] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
 
+    let store = CheckpointStore::create(&dir).unwrap();
+    assert!(store.damage().is_some_and(|d| d.contains("checksum")), "{:?}", store.damage());
+    assert_eq!(store.journal().replies() as u64, cut_calls - 1, "only the newest is dropped");
+
+    // Resuming reports the corruption, never silently, asks the tool
+    // again for the dropped reply only, and converges to the same run.
     let sink = InMemorySink::new();
-    let recovery = CheckpointStore::create(&dir).unwrap().recover_observed(&sink).unwrap();
-    assert_eq!(recovery.skipped.len(), 1);
-    let state = recovery.state.unwrap();
-    assert_eq!(state.generation, 4, "fell back to the previous intact checkpoint");
+    let (resumed, calls) = run_journaled(&dir, settings, RunBudget::new(), seed, &sink);
+    assert_eq!(resumed.unwrap(), straight);
     let events = sink.events();
     assert!(
         events.iter().any(|e| matches!(e, SearchEvent::CheckpointCorruptSkipped { reason, .. }
             if reason.contains("checksum"))),
         "corruption must be reported, never silent"
     );
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, SearchEvent::CheckpointRestored { generation: 4, .. })));
-
-    // Resuming from the older checkpoint still converges to the same run.
-    let resumed = GaEngine::new(&s, &f).with_settings(settings).resume(state).unwrap();
-    assert_eq!(resumed, straight);
+    let straight_calls = straight.cache.distinct_evals + straight.cache.infeasible_evals;
+    assert_eq!(calls, straight_calls - (cut_calls - 1));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn stray_tmp_file_from_a_crashed_write_is_ignored_and_cleaned() {
-    let s = space();
-    let f = sphere();
+    let settings = GaSettings { generations: 6, ..Default::default() };
+    let straight = GaEngine::new(&space(), &sphere()).with_settings(settings).run(21).unwrap();
+    // Simulate a crash while the journal was being created: its temporary
+    // is there, the rename that publishes it never happened.
     let dir = tempdir("stray-tmp");
-    GaEngine::new(&s, &f)
-        .with_budget(RunBudget::new().with_max_generations(3))
-        .with_checkpoints(CheckpointStore::create(&dir).unwrap())
-        .run(21)
-        .unwrap();
-    // Simulate a crash mid-write: temp file present, rename never happened.
-    let stray = dir.join(".ckpt-00000009.nckpt.tmp");
+    let stray = journal_path(&dir).with_file_name(".journal.nckpt.tmp");
     std::fs::write(&stray, b"half a record").unwrap();
-    let recovery = CheckpointStore::create(&dir).unwrap().recover().unwrap();
-    assert_eq!(recovery.state.unwrap().generation, 4);
-    assert!(recovery.skipped.is_empty(), "a tmp file is not a checkpoint candidate");
-    assert!(!stray.exists());
+    let store = CheckpointStore::create(&dir).unwrap();
+    assert!(store.header().is_none() && store.damage().is_none(), "a tmp file is no journal");
+    let (run, _) = run_journaled(&dir, settings, RunBudget::new(), 21, &InMemorySink::new());
+    assert_eq!(run.unwrap(), straight);
+    assert!(!stray.exists(), "the new journal's creation swept the stray tmp");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn truncated_final_file_falls_back_at_every_cut_length() {
-    let s = space();
-    let f = sphere();
+    let seed = 9;
+    let settings = GaSettings { generations: 6, ..Default::default() };
+    let straight = GaEngine::new(&space(), &sphere()).with_settings(settings).run(seed).unwrap();
     let dir = tempdir("truncation");
-    GaEngine::new(&s, &f)
-        .with_budget(RunBudget::new().with_max_generations(3))
-        .with_checkpoints(CheckpointStore::create(&dir).unwrap().with_keep_last(3))
-        .run(9)
-        .unwrap();
-    let newest = dir.join("ckpt-00000004.nckpt");
-    let intact = std::fs::read(&newest).unwrap();
-    // Cut the newest checkpoint at a spread of prefix lengths (every 37th
-    // byte plus the edges): recovery must always fall back to gen 3.
+    let budget = RunBudget::new().with_max_generations(3);
+    run_journaled(&dir, settings, budget, seed, &InMemorySink::new()).0.unwrap();
+    let path = journal_path(&dir);
+    let intact = std::fs::read(&path).unwrap();
+    // Cut the journal at a spread of prefix lengths (every 37th byte plus
+    // the edges): the run over it always converges on the straight run,
+    // and a torn tail (a cut off a record boundary) is always reported.
     let cuts: Vec<usize> = (0..intact.len()).step_by(37).chain([intact.len() - 1]).collect();
-    for cut in cuts {
-        std::fs::write(&newest, &intact[..cut]).unwrap();
-        let recovery = CheckpointStore::create(&dir).unwrap().recover().unwrap();
-        assert_eq!(
-            recovery.state.as_ref().map(|s| s.generation),
-            Some(3),
-            "cut at {cut} did not fall back"
-        );
-        assert_eq!(recovery.skipped.len(), 1, "cut at {cut} not reported");
+    let mut torn_cuts = 0;
+    for &cut in &cuts {
+        std::fs::write(&path, &intact[..cut]).unwrap();
+        let torn = CheckpointStore::create(&dir).unwrap().damage().is_some();
+        torn_cuts += usize::from(torn);
+        let sink = InMemorySink::new();
+        let (run, _) = run_journaled(&dir, settings, RunBudget::new(), seed, &sink);
+        assert_eq!(run.unwrap(), straight, "cut at {cut} diverged");
+        let reported =
+            sink.events().iter().any(|e| matches!(e, SearchEvent::CheckpointCorruptSkipped { .. }));
+        assert_eq!(reported, torn, "cut at {cut}");
     }
+    assert!(torn_cuts * 2 > cuts.len(), "most cuts tear a record: {torn_cuts}/{}", cuts.len());
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn resume_rejects_incompatible_settings_and_bad_states() {
-    let s = space();
-    let f = sphere();
     let dir = tempdir("compat");
-    GaEngine::new(&s, &f)
-        .with_budget(RunBudget::new().with_max_generations(2))
-        .with_checkpoints(CheckpointStore::create(&dir).unwrap())
-        .run(1)
-        .unwrap();
-    let state = CheckpointStore::create(&dir).unwrap().recover().unwrap().state.unwrap();
+    let budget = RunBudget::new().with_max_generations(2);
+    run_journaled(&dir, GaSettings::default(), budget, 1, &InMemorySink::new()).0.unwrap();
+    let sink = InMemorySink::new();
 
     // Different population: rejected.
     let bad = GaSettings { population: 7, ..Default::default() };
-    let err = GaEngine::new(&s, &f).with_settings(bad).resume(state.clone()).unwrap_err();
+    let err = run_journaled(&dir, bad, RunBudget::new(), 1, &sink).0.unwrap_err();
+    assert!(matches!(err, GaError::Checkpoint(_)), "{err}");
     assert!(err.to_string().contains("checkpoint"), "{err}");
+
+    // Another seed, or another strategy label: rejected.
+    let err = run_journaled(&dir, GaSettings::default(), RunBudget::new(), 2, &sink).0.unwrap_err();
+    assert!(err.to_string().contains("seed 1"), "{err}");
+    let s = space();
+    let (store, f) = journaled(&dir, DurableIo::real());
+    let err = GaEngine::new(&s, &f).with_run_label("guided").with_checkpoints(store).run(1);
+    assert!(err.unwrap_err().to_string().contains("`ga`"), "labels must match");
 
     // eval_workers is exempt: same run, different parallelism, accepted.
     let ok = GaSettings { eval_workers: 4, ..Default::default() };
-    assert!(GaEngine::new(&s, &f).with_settings(ok).resume(state.clone()).is_ok());
+    assert!(run_journaled(&dir, ok, RunBudget::new(), 1, &sink).0.is_ok());
 
-    // Generation outside the run's range: rejected.
-    let mut out_of_range = state;
-    out_of_range.generation = 1000;
-    assert!(GaEngine::new(&s, &f).resume(out_of_range).is_err());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn aux_blobs_ride_in_checkpoints_verbatim() {
-    let s = space();
-    let f = sphere();
-    let dir = tempdir("aux");
-    let aux = || vec![("layer.state".to_owned(), vec![0xAB, 0xCD]), ("empty".to_owned(), vec![])];
-    GaEngine::new(&s, &f)
-        .with_budget(RunBudget::new().with_max_generations(2))
-        .with_checkpoints(CheckpointStore::create(&dir).unwrap())
-        .with_checkpoint_aux(&aux)
-        .run(2)
-        .unwrap();
-    let state: SearchState =
-        CheckpointStore::create(&dir).unwrap().recover().unwrap().state.unwrap();
-    assert_eq!(state.aux_blob("layer.state"), Some(&[0xAB, 0xCD][..]));
-    assert_eq!(state.aux_blob("empty"), Some(&[][..]));
-    assert_eq!(state.aux_blob("nope"), None);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn best_checkpoint_is_pinned_across_retention() {
-    let s = space();
-    let f = sphere();
-    let dir = tempdir("pin-best");
-    GaEngine::new(&s, &f)
-        .with_budget(RunBudget::new().with_max_generations(10))
-        .with_checkpoints(CheckpointStore::create(&dir).unwrap().with_keep_last(1))
-        .run(4)
-        .unwrap();
-    let files = CheckpointStore::create(&dir).unwrap().checkpoint_files().unwrap();
-    assert_eq!(files.len(), 1, "keep-last-1 retention");
-    let best_path = dir.join("best.nckpt");
-    assert!(best_path.exists(), "best-so-far checkpoint pinned outside retention");
-    let best = CheckpointStore::create(&dir).unwrap().load(&best_path).unwrap();
-    assert!(best.best_genome.is_some());
+    // A journal whose header is garbage belongs to no run: it is reported
+    // and the run starts over from scratch.
+    std::fs::write(journal_path(&dir), b"NAUTCKPT but not a record").unwrap();
+    let sink = InMemorySink::new();
+    let (run, _) = run_journaled(&dir, GaSettings::default(), RunBudget::new(), 1, &sink);
+    let straight = GaEngine::new(&s, &sphere()).run(1).unwrap();
+    assert_eq!(run.unwrap(), straight);
+    assert!(sink
+        .events()
+        .iter()
+        .any(|e| matches!(e, SearchEvent::CheckpointCorruptSkipped { .. })));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -405,11 +411,9 @@ fn resume_after_deadline_exceeded_honors_a_fresh_deadline() {
     // re-stop on resume, and with the clock quiet it must finish and
     // match the uninterrupted run exactly.
     use std::sync::Mutex;
-    let s = space();
-    let f = sphere();
     let settings = GaSettings { generations: 10, ..Default::default() };
     let seed = 0xDEAD11;
-    let straight = GaEngine::new(&s, &f).with_settings(settings).run(seed).unwrap();
+    let straight = GaEngine::new(&space(), &sphere()).with_settings(settings).run(seed).unwrap();
 
     // A self-advancing clock: every read moves time forward by `step`,
     // so the deadline blows mid-run without any cross-thread choreography.
@@ -428,21 +432,17 @@ fn resume_after_deadline_exceeded_honors_a_fresh_deadline() {
         RunBudget::new().with_deadline(Duration::from_secs(60)).with_clock(Arc::clone(&clock));
 
     let dir = tempdir("deadline-resume");
-    let interrupted = GaEngine::new(&s, &f)
-        .with_settings(settings)
-        .with_budget(budget.clone())
-        .with_checkpoints(CheckpointStore::create(&dir).unwrap())
-        .run(seed)
-        .unwrap();
+    let sink = InMemorySink::new();
+    let (interrupted, _) = run_journaled(&dir, settings, budget.clone(), seed, &sink);
+    let interrupted = interrupted.unwrap();
     assert_eq!(interrupted.stop, StopReason::DeadlineExceeded);
     assert_eq!(interrupted.history.len(), 1, "stopped at the first boundary");
 
     // Freeze the clock, then resume with the SAME budget: the fresh
     // timer origin grants a fresh 60s window that never elapses.
     *step.lock().unwrap() = Duration::ZERO;
-    let state = CheckpointStore::create(&dir).unwrap().recover().unwrap().state.unwrap();
-    let resumed =
-        GaEngine::new(&s, &f).with_settings(settings).with_budget(budget).resume(state).unwrap();
+    let (resumed, _) = run_journaled(&dir, settings, budget, seed, &sink);
+    let resumed = resumed.unwrap();
     assert_eq!(resumed.stop, StopReason::Completed, "fresh deadline must not re-stop");
     assert_eq!(resumed, straight, "resumed run must match the uninterrupted one");
     std::fs::remove_dir_all(&dir).ok();
@@ -450,93 +450,86 @@ fn resume_after_deadline_exceeded_honors_a_fresh_deadline() {
 
 #[test]
 fn checkpoint_dir_going_read_only_mid_run_is_a_clean_error_not_a_corrupt_store() {
-    let s = space();
-    let f = sphere();
+    // The disk starts refusing writes mid-run: the append of generation
+    // 4's replies fails as if the disk were full. (Permission bits alone
+    // do not stop root, so the test injects the fault at the write.)
     let seed = 0xFA17;
     let settings = GaSettings { generations: 10, ..Default::default() };
-
-    // Simulate the checkpoint directory becoming unwritable between
-    // generations: pre-block generation 4's final path with a non-empty
-    // directory so the publishing rename fails. (Permission bits alone do
-    // not stop root, so the test injects the fault at the rename instead.)
+    let points = census_points("midrun-census", RunBudget::new(), "ckpt.append");
+    let io = DurableIo::with_plan(IoFaultPlan::new().fail_at(points[4], IoFaultKind::WriteEnospc));
     let dir = tempdir("midrun-fault");
-    let blocked = dir.join("ckpt-00000004.nckpt");
-    std::fs::create_dir(&blocked).unwrap();
-    std::fs::write(blocked.join("occupied"), b"x").unwrap();
-
-    let err = GaEngine::new(&s, &f)
-        .with_settings(settings)
-        .with_checkpoints(CheckpointStore::create(&dir).unwrap())
-        .run(seed)
-        .expect_err("checkpoint write failure must stop the run");
+    let run = run_with_io(&dir, RunBudget::new(), io, &InMemorySink::new());
+    let err = run.expect_err("a failed journal write must stop the run");
     assert!(matches!(err, GaError::Checkpoint(_)), "expected a checkpoint error, got {err:?}");
-    assert!(err.to_string().contains("i/o failure"), "{err}");
+    assert!(err.to_string().contains("enospc"), "{err}");
 
-    // The failed write left no temporary and every earlier checkpoint is
-    // intact: recovery lands on the last generation written before the
-    // fault, and a resumed run completes normally.
+    // The failed write left no temporary and every earlier record is
+    // intact: the store reopens without damage, and a run over it
+    // completes byte-identical to an uninterrupted one.
     for entry in std::fs::read_dir(&dir).unwrap() {
         let name = entry.unwrap().file_name().to_string_lossy().into_owned();
         assert!(!name.ends_with(".tmp"), "stray temporary {name} after failed write");
     }
-    std::fs::remove_file(blocked.join("occupied")).unwrap();
-    std::fs::remove_dir(&blocked).unwrap();
-    let recovery = CheckpointStore::create(&dir).unwrap().recover().unwrap();
-    assert!(recovery.skipped.is_empty(), "no corrupt files: {:?}", recovery.skipped);
-    let state = recovery.state.expect("generations before the fault recoverable");
-    assert_eq!(state.generation, 3, "newest intact checkpoint is the pre-fault one");
-
-    let resumed = GaEngine::new(&s, &f).with_settings(settings).resume(state).unwrap();
+    let store = CheckpointStore::create(&dir).unwrap();
+    assert!(store.damage().is_none(), "no corrupt records: {:?}", store.damage());
+    assert!(store.journal().replies() > 0, "generations before the fault recoverable");
+    let resumed = run_with_io(&dir, RunBudget::new(), DurableIo::real(), &InMemorySink::new());
+    let resumed = resumed.unwrap();
     assert_eq!(resumed.stop, StopReason::Completed);
-    let straight = GaEngine::new(&s, &f).with_settings(settings).run(seed).unwrap();
+    let straight = GaEngine::new(&space(), &sphere())
+        .with_settings(settings)
+        .with_mutation(Box::new(UniformMutation::new(1.0)))
+        .run(seed)
+        .unwrap();
     assert_eq!(resumed, straight, "recovery after the fault stays byte-identical");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Runs the write-behind fixture (seed 0x5EED, 10 generations) with its
-/// checkpoints routed through `io`, recording events into `sink`.
+/// Runs the write-behind fixture (seed 0xFA17, 10 generations, every
+/// gene redrawn by mutation so each generation calls the tool) over the
+/// journal in `dir`, its writes routed through `io`, recording events
+/// into `sink`.
 fn run_with_io(
-    tag: &str,
+    dir: &Path,
     budget: RunBudget,
     io: DurableIo,
     sink: &InMemorySink,
-) -> (Result<GaRun, GaError>, PathBuf) {
+) -> Result<GaRun, GaError> {
     let s = space();
-    let f = sphere();
-    let dir = tempdir(tag);
-    let run = GaEngine::new(&s, &f)
+    let (store, f) = journaled(dir, io);
+    GaEngine::new(&s, &f)
         .with_settings(GaSettings { generations: 10, ..Default::default() })
+        .with_mutation(Box::new(UniformMutation::new(1.0)))
         .with_observer(sink)
         .with_budget(budget)
-        .with_checkpoints(CheckpointStore::create(&dir).unwrap().with_io(io))
-        .run(0x5EED);
-    (run, dir)
+        .with_checkpoints(store)
+        .run(0xFA17)
 }
 
-/// The `ckpt.gen` write-point indices of a clean fixture run, in boundary
-/// order: entry `n` writes the checkpoint for generation `n + 1`.
-fn generation_points(tag: &str, budget: RunBudget) -> Vec<u64> {
+/// The write-point indices at `site` of a clean fixture run, in order.
+fn census_points(tag: &str, budget: RunBudget, site: &str) -> Vec<u64> {
     let io = DurableIo::census();
-    let (run, dir) = run_with_io(tag, budget, io.clone(), &InMemorySink::new());
-    run.unwrap();
+    let dir = tempdir(tag);
+    run_with_io(&dir, budget, io.clone(), &InMemorySink::new()).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    io.write_points().into_iter().filter(|p| p.site == "ckpt.gen").map(|p| p.index).collect()
+    io.write_points().into_iter().filter(|p| p.site == site).map(|p| p.index).collect()
 }
 
 #[test]
 fn a_failed_final_checkpoint_write_is_never_lost() {
-    // The last boundary's write is still in flight when the final
+    // The last boundary's sync is still in flight when the final
     // generation (or a budget stop) is reached; its failure must still
     // come back as the run's result.
     let budgets =
         [("complete", RunBudget::new()), ("budget", RunBudget::new().with_max_generations(4))];
     for (label, budget) in budgets {
-        let points = generation_points(&format!("last-census-{label}"), budget.clone());
-        let last = *points.last().expect("the run writes checkpoints");
-        for kind in [IoFaultKind::SyncFail, IoFaultKind::RenameFail] {
+        let points = census_points(&format!("last-census-{label}"), budget.clone(), "ckpt.sync");
+        let last = *points.last().expect("the run syncs its journal");
+        for kind in [IoFaultKind::SyncFail, IoFaultKind::DirSyncFail] {
             let io = DurableIo::with_plan(IoFaultPlan::new().fail_at(last, kind));
             let tag = format!("last-{label}-{}", kind.label());
-            let (run, dir) = run_with_io(&tag, budget.clone(), io.clone(), &InMemorySink::new());
+            let dir = tempdir(&tag);
+            let run = run_with_io(&dir, budget.clone(), io.clone(), &InMemorySink::new());
             let err = run.expect_err("a failed final write must not return Ok");
             assert!(matches!(err, GaError::Checkpoint(_)), "{tag}: {err:?}");
             assert!(err.to_string().contains(kind.label()), "{tag}: {err}");
@@ -548,19 +541,20 @@ fn a_failed_final_checkpoint_write_is_never_lost() {
 
 #[test]
 fn a_failed_middle_checkpoint_write_stops_the_run_by_the_next_boundary() {
-    let points = generation_points("middle-census", RunBudget::new());
-    assert_eq!(points.len(), 10, "one checkpoint per boundary 1..=10");
+    let points = census_points("middle-census", RunBudget::new(), "ckpt.sync");
+    assert_eq!(points.len(), 10, "one sync per boundary 1..=10");
     for failed in [1u32, 4, 7] {
         let io = DurableIo::with_plan(
             IoFaultPlan::new().fail_at(points[failed as usize - 1], IoFaultKind::SyncFail),
         );
         let sink = InMemorySink::new();
-        let (run, dir) = run_with_io(&format!("middle-{failed}"), RunBudget::new(), io, &sink);
+        let dir = tempdir(&format!("middle-{failed}"));
+        let run = run_with_io(&dir, RunBudget::new(), io, &sink);
         let err = run.expect_err("a failed write must stop the run");
         assert!(matches!(err, GaError::Checkpoint(_)), "generation {failed}: {err:?}");
         let events = sink.events();
-        // Generation `failed` may still be scored while its checkpoint
-        // is in flight; the boundary after it must not be crossed.
+        // Generation `failed` may still be scored while its sync is in
+        // flight; the boundary after it must not be crossed.
         let last_started = events
             .iter()
             .filter_map(|e| match e {
@@ -577,30 +571,42 @@ fn a_failed_middle_checkpoint_write_stops_the_run_by_the_next_boundary() {
             })
             .collect();
         assert_eq!(announced, (1..=failed).collect::<Vec<_>>(), "generation {failed}");
-        // The boundary before the failed one is the newest intact state.
-        let recovery = CheckpointStore::create(&dir).unwrap().recover().unwrap();
-        assert!(recovery.skipped.is_empty(), "{:?}", recovery.skipped);
-        let newest = recovery.state.map(|state| state.generation);
-        assert_eq!(newest, (failed > 1).then(|| failed - 1), "generation {failed}");
+        // Only the sync failed: every appended record is intact, and a
+        // run over the journal completes.
+        assert!(CheckpointStore::create(&dir).unwrap().damage().is_none());
+        let resumed = run_with_io(&dir, RunBudget::new(), DurableIo::real(), &sink);
+        assert_eq!(resumed.unwrap().stop, StopReason::Completed, "generation {failed}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 #[test]
 fn a_returned_run_has_its_final_checkpoint_on_disk() {
-    // No write may still be in flight once `run` returns: the newest
-    // generation file is already there, intact, at the final boundary.
-    let budgets = [(10, RunBudget::new()), (3, RunBudget::new().with_max_generations(2))];
+    // No write may still be in flight once `run` returns: every reply the
+    // run asked the tool for is in the journal, and a run over it asks
+    // for none.
+    let budgets = [RunBudget::new(), RunBudget::new().with_max_generations(2)];
     for round in 0..5 {
-        for (final_boundary, budget) in budgets.clone() {
-            let tag = format!("returned-{final_boundary}-{round}");
-            let (run, dir) = run_with_io(&tag, budget, DurableIo::real(), &InMemorySink::new());
-            run.unwrap();
+        for (b, budget) in budgets.clone().into_iter().enumerate() {
+            let tag = format!("returned-{b}-{round}");
+            let s = space();
+            let dir = tempdir(&tag);
+            let (store, f) = journaled(&dir, DurableIo::real());
+            let settings = GaSettings { generations: 10, ..Default::default() };
+            GaEngine::new(&s, &f)
+                .with_settings(settings)
+                .with_budget(budget.clone())
+                .with_checkpoints(store)
+                .run(0x5EED)
+                .unwrap();
+            let calls = f.calls.load(Ordering::Relaxed);
             let store = CheckpointStore::create(&dir).unwrap();
-            let files = store.checkpoint_files().unwrap();
-            let (newest, generation) = files.last().expect("checkpoints written").clone();
-            assert_eq!(generation, final_boundary, "{tag}");
-            assert_eq!(store.load(&newest).unwrap().generation, final_boundary, "{tag}");
+            assert_eq!(store.journal().replies() as u64, calls, "{tag}");
+            assert!(store.damage().is_none(), "{tag}");
+            let (rerun, calls) =
+                run_journaled(&dir, settings, budget, 0x5EED, &InMemorySink::new());
+            rerun.unwrap();
+            assert_eq!(calls, 0, "{tag}");
             std::fs::remove_dir_all(&dir).ok();
         }
     }

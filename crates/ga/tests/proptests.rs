@@ -1,14 +1,15 @@
 //! Property-based tests for the GA substrate's core invariants.
 
+use std::collections::HashMap;
 use std::ops::Range;
+use std::path::PathBuf;
 
-use nautilus_ga::checkpoint::SearchState;
 use nautilus_ga::ops::{CrossoverOp, MutationOp, OpCtx};
 use nautilus_ga::rng::{check_cases, SearchRng};
 use nautilus_ga::{
-    CacheSnapshot, Direction, EvalCache, FnFitness, GaEngine, GaSettings, GenStats, Genome,
-    OnePointCrossover, ParamDomain, ParamSpace, ParamValue, StepMutation, TwoPointCrossover,
-    UniformCrossover, UniformMutation,
+    CheckpointStore, Direction, FnFitness, GaEngine, GaSettings, Genome, OnePointCrossover,
+    ParamDomain, ParamSpace, ParamValue, StepMutation, TwoPointCrossover, UniformCrossover,
+    UniformMutation,
 };
 
 /// A vector of `len` (half-open) values drawn by `draw`.
@@ -25,28 +26,6 @@ fn vec_of<T>(
 fn label(rng: &mut SearchRng, alphabet: &[u8], min: u64, max: u64) -> String {
     let n = min + rng.below(max - min + 1);
     (0..n).map(|_| char::from(alphabet[rng.below(alphabet.len() as u64) as usize])).collect()
-}
-
-/// `None` or `Some(draw(rng))`, evenly.
-fn option<T>(rng: &mut SearchRng, draw: impl FnOnce(&mut SearchRng) -> T) -> Option<T> {
-    if rng.chance(0.5) {
-        None
-    } else {
-        Some(draw(rng))
-    }
-}
-
-/// Any `f64` bit pattern, with NaNs (random sign and payload), ±∞, ±0
-/// and subnormals each drawn often.
-fn any_f64(rng: &mut SearchRng) -> f64 {
-    match rng.below(8) {
-        0 => f64::from_bits(rng.next_u64() | 0x7FF0_0000_0000_0001),
-        1 => f64::INFINITY,
-        2 => f64::NEG_INFINITY,
-        3 => f64::from_bits(rng.next_u64() & (1 << 63)),
-        4 => f64::from_bits(rng.next_u64() & !(0x7FF << 52)),
-        _ => f64::from_bits(rng.next_u64()),
-    }
 }
 
 /// An arbitrary valid domain with 1..=12 values.
@@ -92,137 +71,104 @@ fn arb_genome(rng: &mut SearchRng) -> Genome {
     Genome::from_genes(vec_of(rng, 1..6, |rng| rng.next_u64() as u32))
 }
 
-/// An arbitrary cache snapshot (entries may carry NaN and infinities — the
-/// codec must round-trip them bit-exactly).
-fn arb_cache_snapshot(rng: &mut SearchRng) -> CacheSnapshot {
-    CacheSnapshot {
-        entries: vec_of(rng, 0..8, |rng| (arb_genome(rng), option(rng, any_f64))),
-        quarantined: vec_of(rng, 0..4, arb_genome),
-        hits: rng.next_u64(),
-        feasible_misses: rng.next_u64(),
-        infeasible_misses: rng.next_u64(),
-    }
+/// A journal the engine wrote for a run of arbitrary seed and label,
+/// holding 0..5 arbitrary replies (genes, attempt, bytes), and the replies
+/// it must answer: the first recorded per key.
+struct ArbJournal {
+    dir: PathBuf,
+    seed: u64,
+    label: String,
+    replies: HashMap<(Vec<u32>, u32), Vec<u8>>,
 }
 
-/// An arbitrary (structurally plausible) search state.
-fn arb_state(rng: &mut SearchRng) -> SearchState {
-    let words =
-        |rng: &mut SearchRng| [rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()];
+fn arb_journal(rng: &mut SearchRng, tag: &str) -> ArbJournal {
+    let dir = std::env::temp_dir().join(format!("nautilus-prop-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let seed = rng.next_u64();
-    let run_label = label(rng, b"abcdefghijklmnopqrstuvwxyz-", 1, 10);
-    let generation = 1 + rng.below(40) as u32;
-    let state_words = words(rng);
-    let population = vec_of(rng, 1..6, arb_genome);
-    let history = vec_of(rng, 0..6, |rng| GenStats {
-        generation: rng.next_u64() as u32,
-        distinct_evals: rng.next_u64(),
-        best_value: any_f64(rng),
-        mean_value: any_f64(rng),
-        best_so_far: any_f64(rng),
-    });
-    let best_genome = option(rng, arb_genome);
-    let best_value = any_f64(rng);
-    let init_attempts = rng.below(10_000) as usize;
-    let cache = arb_cache_snapshot(rng);
-    let fault_attempts = words(rng);
-    let aux = vec_of(rng, 0..3, |rng| {
-        let key = label(rng, b"abcdefghijklmnopqrstuvwxyz.", 1, 12);
-        (key, vec_of(rng, 0..32, |rng| rng.next_u64() as u8))
-    });
-    let faults = nautilus_ga::FaultStats {
-        failed_attempts: [
-            fault_attempts[0] % 1000,
-            fault_attempts[1] % 1000,
-            fault_attempts[2] % 1000,
-            fault_attempts[3] % 1000,
-        ],
-        retries: fault_attempts[0] % 97,
-        ..Default::default()
-    };
-    SearchState {
-        seed,
-        run_label,
-        settings: GaSettings::default(),
-        generation,
-        rng: state_words,
-        population,
-        history,
-        best_genome,
-        best_value,
-        init_attempts,
-        cache,
-        faults,
-        aux,
+    let label = label(rng, b"abcdefghijklmnopqrstuvwxyz-", 1, 10);
+    let store = CheckpointStore::create(&dir).unwrap();
+    let mut replies = HashMap::new();
+    for _ in 0..rng.below(5) {
+        let genome = arb_genome(rng);
+        let attempt = rng.next_u64() as u32;
+        let reply = vec_of(rng, 0..24, |rng| rng.next_u64() as u8);
+        store.journal().record(&genome, attempt, reply.clone());
+        replies.entry((genome.genes().to_vec(), attempt)).or_insert(reply);
     }
+    // A zero-generation run scores its initial population and appends
+    // the recorded replies as that batch ends.
+    let space = ParamSpace::builder().int("x", 0, 7, 1).build().unwrap();
+    let f = FnFitness::new(Direction::Minimize, |g: &Genome| Some(f64::from(g.gene_at(0))));
+    GaEngine::new(&space, &f)
+        .with_settings(GaSettings { generations: 0, ..GaSettings::default() })
+        .with_run_label(label.clone())
+        .with_checkpoints(store)
+        .run(seed)
+        .unwrap();
+    ArbJournal { dir, seed, label, replies }
 }
 
-/// Arbitrary search states (NaN fitness values, empty caches, aux blobs,
-/// ...) encode → decode to the identical state. Equality is checked on
-/// the canonical re-encoding so NaN compares bit-wise rather than by IEEE
-/// semantics.
+/// How many of `want`'s replies `store` answers; panics on any it
+/// answers differently.
+fn answered(store: &CheckpointStore, want: &HashMap<(Vec<u32>, u32), Vec<u8>>) -> usize {
+    let journal = store.journal();
+    let mut found = 0;
+    for ((genes, attempt), reply) in want {
+        if let Some(got) = journal.reply(&Genome::from_genes(genes.clone()), *attempt) {
+            assert_eq!(got, reply.as_slice(), "reply for {genes:?}/{attempt} changed");
+            found += 1;
+        }
+    }
+    found
+}
+
+/// Arbitrary journals (any seed and label, empty and odd-length replies,
+/// any attempt number) read back to exactly the run identity and replies
+/// that were written.
 #[test]
 fn checkpoint_state_round_trips() {
-    check_cases("checkpoint_state_round_trips", 256, |rng| {
-        let record = arb_state(rng).encode();
-        let decoded = SearchState::decode(&record).expect("intact record must decode");
-        assert_eq!(decoded.encode(), record);
+    check_cases("checkpoint_state_round_trips", 64, |rng| {
+        let j = arb_journal(rng, "round-trip");
+        let store = CheckpointStore::create(&j.dir).unwrap();
+        let header = store.header().expect("the run wrote its header");
+        assert_eq!((header.seed, header.run_label.as_str()), (j.seed, j.label.as_str()));
+        assert_eq!(store.damage(), None);
+        assert_eq!(store.journal().replies(), j.replies.len());
+        assert_eq!(answered(&store, &j.replies), j.replies.len());
+        let _ = std::fs::remove_dir_all(&j.dir);
     });
 }
 
-/// Every single-bit corruption anywhere in a checkpoint record is detected
-/// — by magic/version/length checks or by the CRC (which catches all
-/// single-bit errors by construction). Corruption is never silently
-/// accepted. Each case sweeps every bit of a whole record (tens of
-/// thousands of decodes), so it runs fewer cases than the default.
+/// Every single-bit corruption anywhere in a journal is detected — by
+/// magic/version/length checks or by the CRC (which catches all
+/// single-bit errors by construction). A damaged record is dropped with
+/// everything after it, never decoded into a different one. Each case
+/// sweeps every bit of a whole journal (thousands of reads), so it runs
+/// fewer cases than the default.
 #[test]
 fn every_single_bit_corruption_is_detected() {
-    check_cases("every_single_bit_corruption_is_detected", 12, |rng| {
-        let record = arb_state(rng).encode();
-        for byte in 0..record.len() {
+    check_cases("every_single_bit_corruption_is_detected", 8, |rng| {
+        let j = arb_journal(rng, "bit-flip");
+        let path = CheckpointStore::create(&j.dir).unwrap().path();
+        let bytes = std::fs::read(&path).unwrap();
+        for byte in 0..bytes.len() {
             for bit in 0..8u8 {
-                let mut corrupt = record.clone();
+                let mut corrupt = bytes.clone();
                 corrupt[byte] ^= 1 << bit;
-                assert!(
-                    SearchState::decode(&corrupt).is_err(),
-                    "flip at byte {byte} bit {bit} was silently accepted"
-                );
+                std::fs::write(&path, &corrupt).unwrap();
+                let store = CheckpointStore::create(&j.dir).unwrap();
+                assert!(store.damage().is_some(), "flip at byte {byte} bit {bit} was accepted");
+                if let Some(header) = store.header() {
+                    assert_eq!(
+                        (header.seed, header.run_label.as_str()),
+                        (j.seed, j.label.as_str())
+                    );
+                }
+                let found = answered(&store, &j.replies);
+                assert_eq!(store.journal().replies(), found, "flip at {byte}/{bit} invented one");
             }
         }
-    });
-}
-
-/// The evaluation cache itself survives snapshot → restore → snapshot
-/// unchanged, and a restored cache behaves identically (same stats, same
-/// memoized answers).
-#[test]
-fn cache_snapshot_restore_is_lossless() {
-    check_cases("cache_snapshot_restore_is_lossless", 12, |rng| {
-        // Deduplicate keys the way a real cache would have (a HashMap
-        // cannot hold two values for one genome).
-        let mut seen = std::collections::HashSet::new();
-        let mut canon = arb_cache_snapshot(rng);
-        canon.entries.retain(|(g, _)| seen.insert(g.clone()));
-        canon.entries.sort_by(|a, b| a.0.genes().cmp(b.0.genes()));
-        canon.quarantined.retain(|g| seen.contains(g));
-        let mut qseen = std::collections::HashSet::new();
-        canon.quarantined.retain(|g| qseen.insert(g.clone()));
-        canon.quarantined.sort_by(|a, b| a.genes().cmp(b.genes()));
-
-        let cache = EvalCache::restore(&canon);
-        let again = cache.snapshot();
-        assert_eq!(again.entries.len(), canon.entries.len());
-        assert_eq!(again.quarantined.len(), canon.quarantined.len());
-        assert_eq!(again.hits, canon.hits);
-        assert_eq!(again.feasible_misses, canon.feasible_misses);
-        assert_eq!(again.infeasible_misses, canon.infeasible_misses);
-        for (g, v) in &canon.entries {
-            let got = cache.peek(g.genes()).expect("entry must be present");
-            match (got, v) {
-                (Some(a), Some(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-                (None, None) => {}
-                other => panic!("value mismatch: {other:?}"),
-            }
-        }
+        let _ = std::fs::remove_dir_all(&j.dir);
     });
 }
 

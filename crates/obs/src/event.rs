@@ -287,35 +287,39 @@ pub enum SearchEvent {
         /// Run wall-clock nanoseconds.
         wall_nanos: u64,
     },
-    /// A checkpoint record was handed to the run's writer (fsync +
-    /// atomic rename, behind the search). Emitted at the boundary, before
-    /// the write lands.
+    /// A generation boundary handed the run's journal sync to its writer
+    /// thread (behind the search). Emitted at the boundary, before the
+    /// sync lands.
     CheckpointWritten {
-        /// Generation the checkpoint resumes at (next to be scored).
+        /// Generation the boundary precedes (next to be scored).
         generation: u32,
-        /// Size of the record on disk, in bytes.
+        /// Journal bytes written since the previous boundary: the
+        /// replies of the generations in between (and the header, at the
+        /// first boundary).
         bytes: u64,
         /// Wall-clock nanoseconds the engine thread spent at this
-        /// boundary: encoding the record plus waiting for the previous
-        /// boundary's write. The write itself overlaps the next
-        /// generation.
+        /// boundary, mostly waiting for the previous boundary's sync.
+        /// The sync itself overlaps the next generation.
         write_nanos: u64,
-        /// Path of the checkpoint file. It is durable once the engine
-        /// reaches the next boundary or the run returns; a failed write
-        /// surfaces there as a checkpoint error.
+        /// Path of the journal. It is durable up to this boundary once
+        /// the engine reaches the next boundary or the run returns; a
+        /// failed write surfaces there as a checkpoint error.
         path: String,
     },
-    /// A checkpoint was loaded and validated for a resume.
+    /// The run replayed replies an earlier incarnation journaled.
+    /// Emitted once, before the run's last event.
     CheckpointRestored {
-        /// Generation the resumed run continues at.
+        /// Generation whose scoring first called the tool (the run's next
+        /// generation when the journal answered every reply).
         generation: u32,
-        /// Path of the checkpoint file that was restored.
+        /// Path of the journal.
         path: String,
     },
-    /// A checkpoint file failed validation (truncated, bad CRC, bad
-    /// magic/version) and recovery fell back to an older record.
+    /// Opening a journal found a damaged record (truncated, bad CRC, bad
+    /// magic/version): it and everything after it were dropped, and the
+    /// run goes live from there.
     CheckpointCorruptSkipped {
-        /// Path of the rejected file.
+        /// Path of the journal.
         path: String,
         /// Human-readable validation failure.
         reason: String,
@@ -328,16 +332,6 @@ pub enum SearchEvent {
         generation: u32,
         /// Stable stop-reason label ("generation_budget", "cancelled", ...).
         reason: String,
-    },
-    /// A run continued from a checkpoint. Emitted *instead of*
-    /// [`SearchEvent::RunStart`].
-    RunResumed {
-        /// Strategy label persisted in the checkpoint.
-        strategy: String,
-        /// The original run's RNG seed.
-        seed: u64,
-        /// Generation the run continues at.
-        generation: u32,
     },
     /// The supervision watchdog abandoned an attempt that exceeded its
     /// hard wall-clock deadline.
@@ -451,7 +445,7 @@ pub enum SearchEvent {
     /// event names what broke so operators can tell a hostile
     /// environment from a software fault.
     DurableWriteFailed {
-        /// Stable write-site label (`ckpt.gen`, `job.spec`,
+        /// Stable write-site label (`ckpt.sync`, `job.spec`,
         /// `job.events`, `job.result`, `job.cancel`,
         /// `daemon.endpoint`, ...).
         site: String,
@@ -519,7 +513,6 @@ impl SearchEvent {
             SearchEvent::CheckpointRestored { .. } => "checkpoint_restored",
             SearchEvent::CheckpointCorruptSkipped { .. } => "checkpoint_corrupt_skipped",
             SearchEvent::RunInterrupted { .. } => "run_interrupted",
-            SearchEvent::RunResumed { .. } => "run_resumed",
             SearchEvent::WatchdogFired { .. } => "watchdog_fired",
             SearchEvent::HedgeIssued { .. } => "hedge_issued",
             SearchEvent::HedgeResolved { .. } => "hedge_resolved",
@@ -640,11 +633,6 @@ impl SearchEvent {
             }
             SearchEvent::RunInterrupted { generation, reason } => {
                 o.u64("generation", u64::from(*generation)).str("reason", reason);
-            }
-            SearchEvent::RunResumed { strategy, seed, generation } => {
-                o.str("strategy", strategy)
-                    .u64("seed", *seed)
-                    .u64("generation", u64::from(*generation));
             }
             SearchEvent::WatchdogFired { attempt, limit_ms, late_result_discarded } => {
                 o.u64("attempt", u64::from(*attempt))
@@ -777,7 +765,6 @@ mod tests {
                 reason: "crc mismatch".into(),
             },
             SearchEvent::RunInterrupted { generation: 13, reason: "deadline_exceeded".into() },
-            SearchEvent::RunResumed { strategy: "baseline".into(), seed: 7, generation: 13 },
             SearchEvent::WatchdogFired {
                 attempt: 2,
                 limit_ms: 10_000,

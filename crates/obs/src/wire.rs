@@ -1,7 +1,7 @@
 //! The workspace's one record format, and the little-endian codec its
 //! bodies are written in.
 //!
-//! `NAUTCKPT` checkpoints (`nautilus-ga`), `NAUTPROC` tool frames
+//! `NAUTCKPT` journal records (`nautilus-ga`), `NAUTPROC` tool frames
 //! (`nautilus-proc`) and `NAUTSRVC` daemon frames (`nautilus-serve`) are
 //! all sealed, opened and read by one [`Envelope`]:
 //!
@@ -10,10 +10,10 @@
 //! ```
 //!
 //! Each format keeps only a constant envelope and a body codec written
-//! with [`WireWriter`] and read with [`WireReader`]; the report snapshot
-//! uses the body codec alone. All integers are little-endian; floats are
-//! IEEE-754 bit patterns (NaN round-trips bit-exactly); strings and byte
-//! blobs are `u64` length-prefixed UTF-8/raw bytes.
+//! with [`WireWriter`] and read with [`WireReader`]. All integers are
+//! little-endian; floats are IEEE-754 bit patterns (NaN round-trips
+//! bit-exactly); strings and byte blobs are `u64` length-prefixed
+//! UTF-8/raw bytes.
 //!
 //! Decoding is *total*: every read returns `Err` (never panics) on
 //! truncated or malformed input, so corrupt records degrade to a reported

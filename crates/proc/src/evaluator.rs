@@ -57,9 +57,10 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use nautilus_ga::{
-    AttemptOutcome, EvalFailure, FallibleEvaluator, FitnessFn, Genome, SupervisableEvaluator,
+    AttemptOutcome, EvalFailure, FallibleEvaluator, FitnessFn, Genome, Journal,
+    SupervisableEvaluator,
 };
-use nautilus_obs::{SearchEvent, SearchObserver};
+use nautilus_obs::{SearchEvent, SearchObserver, WireReader, WireWriter};
 use nautilus_synth::{CostModel, MetricCatalog, MetricSet};
 
 use crate::protocol::{
@@ -365,8 +366,46 @@ enum Roundtrip {
     Outcome(WireOutcome),
     HungKilled,
     TransportLost,
-    Garbage(&'static str),
+    Garbage(String),
     DeadSlot,
+}
+
+impl Roundtrip {
+    /// The journal form: a tag, then the reply frame or the garbage label.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        match self {
+            Roundtrip::Outcome(outcome) => {
+                w.u8(0);
+                w.bytes(&Frame::Result { id: 0, outcome: outcome.clone() }.encode());
+            }
+            Roundtrip::HungKilled => w.u8(1),
+            Roundtrip::TransportLost => w.u8(2),
+            Roundtrip::Garbage(label) => {
+                w.u8(3);
+                w.str(label);
+            }
+            Roundtrip::DeadSlot => w.u8(4),
+        }
+        w.into_bytes()
+    }
+
+    fn from_bytes(bytes: &[u8]) -> Option<Roundtrip> {
+        let mut r = WireReader::new(bytes);
+        let roundtrip = match r.u8().ok()? {
+            0 => match Frame::decode(r.bytes().ok()?).ok()? {
+                Frame::Result { outcome, .. } => Roundtrip::Outcome(outcome),
+                _ => return None,
+            },
+            1 => Roundtrip::HungKilled,
+            2 => Roundtrip::TransportLost,
+            3 => Roundtrip::Garbage(r.str().ok()?),
+            4 => Roundtrip::DeadSlot,
+            _ => return None,
+        };
+        r.finish().ok()?;
+        Some(roundtrip)
+    }
 }
 
 /// A pooled out-of-process evaluator over the `NAUTPROC` protocol.
@@ -376,6 +415,7 @@ enum Roundtrip {
 pub struct SubprocessEvaluator<'a> {
     score: &'a dyn FitnessFn,
     observer: &'a dyn SearchObserver,
+    journal: Option<&'a Journal>,
     config: SubprocessConfig,
     expect: Expectation,
     slots: Vec<Mutex<Slot>>,
@@ -429,6 +469,7 @@ impl<'a> SubprocessEvaluator<'a> {
         let mut eval = SubprocessEvaluator {
             score,
             observer,
+            journal: None,
             config,
             expect,
             slots: Vec::new(),
@@ -469,6 +510,17 @@ impl<'a> SubprocessEvaluator<'a> {
             .map(|conn| Mutex::new(Slot { conn: Some(conn), dead: false, failures: 0, next_id: 0 }))
             .collect();
         Ok(eval)
+    }
+
+    /// Journals every round trip's outcome in `journal`, keyed by genome
+    /// and attempt, and answers from it the ones an earlier incarnation
+    /// recorded, without a request (see `nautilus_ga::checkpoint`). A
+    /// journaled metrics or infeasible reply is still charged through the
+    /// scoring path, so job accounting and telemetry are rebuilt.
+    #[must_use]
+    pub fn with_journal(mut self, journal: &'a Journal) -> Self {
+        self.journal = Some(journal);
+        self
     }
 
     /// Current lifecycle counters.
@@ -639,7 +691,7 @@ impl<'a> SubprocessEvaluator<'a> {
                         detail: "unexpected_frame".to_owned(),
                     });
                     self.replace_child(idx, &mut slot, "protocol_error");
-                    return Roundtrip::Garbage("unexpected_frame");
+                    return Roundtrip::Garbage("unexpected_frame".to_owned());
                 }
                 Ok(Err(e)) => match e {
                     ProtoError::CleanEof | ProtoError::Truncated | ProtoError::Io(_) => {
@@ -657,7 +709,7 @@ impl<'a> SubprocessEvaluator<'a> {
                             detail: label.to_owned(),
                         });
                         self.replace_child(idx, &mut slot, "protocol_error");
-                        return Roundtrip::Garbage(label);
+                        return Roundtrip::Garbage(label.to_owned());
                     }
                 },
                 Err(RecvTimeoutError::Timeout) => {
@@ -685,9 +737,21 @@ impl<'a> SubprocessEvaluator<'a> {
         value
     }
 
+    /// One round trip, answered from the journal when an earlier
+    /// incarnation recorded it, and recorded there otherwise.
+    fn exchange(&self, genome: &Genome, attempt: u32, lane: Option<u64>) -> Roundtrip {
+        let Some(journal) = self.journal else { return self.roundtrip(genome, attempt, lane) };
+        if let Some(replayed) = journal.reply(genome, attempt).and_then(Roundtrip::from_bytes) {
+            return replayed;
+        }
+        let live = self.roundtrip(genome, attempt, lane);
+        journal.record(genome, attempt, live.to_bytes());
+        live
+    }
+
     /// The full attempt: round-trip, charge, failure mapping.
     fn run_attempt(&self, genome: &Genome, attempt: u32, lane: Option<u64>) -> AttemptOutcome {
-        match self.roundtrip(genome, attempt, lane) {
+        match self.exchange(genome, attempt, lane) {
             Roundtrip::Outcome(WireOutcome::Metrics { garbled, tool_secs, cost_ms, values }) => {
                 if values.len() != self.expect.metric_len as usize {
                     return AttemptOutcome::Finished {

@@ -18,12 +18,13 @@
 //!
 //! All authority lives in the state directory, never in memory. On
 //! startup the daemon scans `jobs/`, re-adopts every job with a spec but
-//! no result record, and re-queues it; the engine's checkpoint discipline
-//! makes the resumed search replay bit-for-bit. A SIGKILL at any moment
-//! therefore loses at most wall-clock time. Graceful drain (SIGTERM or a
+//! no result record, and re-queues it; the run replays the job's journal
+//! of tool replies and ends bit-for-bit where an uninterrupted one would.
+//! A SIGKILL at any moment therefore loses at most wall-clock time and
+//! the tool calls of the batch in flight. Graceful drain (SIGTERM or a
 //! [`Request::Drain`] frame) is the cheap version: it stops admissions,
 //! raises every running run's cancel flag, and waits for each to park at
-//! a generation boundary with a final checkpoint before exiting.
+//! a generation boundary with its journal synced before exiting.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs;
@@ -255,7 +256,7 @@ impl Daemon {
     }
 
     /// Initiates a graceful drain: admissions stop, running jobs halt at
-    /// their next generation boundary (final checkpoint on disk), queued
+    /// their next generation boundary (journal synced), queued
     /// jobs stay queued for the next incarnation.
     pub fn drain(&self) {
         initiate_drain(&self.shared);
@@ -800,8 +801,8 @@ fn finish_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec, dir: &JobDir, resul
                 if user {
                     Verdict::Cancelled
                 } else {
-                    // Drain stop: the final checkpoint is on disk; park the
-                    // job for the next incarnation to re-adopt.
+                    // Drain stop: the journal is synced; park the job for
+                    // the next incarnation to re-adopt.
                     Verdict::Parked
                 }
             } else {
@@ -852,9 +853,9 @@ fn finish_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec, dir: &JobDir, resul
                 }
                 Some(e) => {
                     // The run finished but its artifacts are not durable.
-                    // Requeue (the resume replays from the terminal
-                    // checkpoint and rewrites the result) or, when out of
-                    // retries, park adoptable rather than lie.
+                    // Requeue (the rerun replays the whole journal and
+                    // rewrites the result) or, when out of retries, park
+                    // adoptable rather than lie.
                     let label = note_durable_failure(&mut state, &e.to_string());
                     events.push(SearchEvent::DurableWriteFailed {
                         site: "job.result".into(),

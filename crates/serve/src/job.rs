@@ -9,13 +9,14 @@
 //!   atomically once the job reaches `Done` / `Failed` / `Cancelled`.
 //! * `cancel` — empty marker recording a user cancel request, so a cancel
 //!   that raced a daemon crash is honoured after restart.
-//! * `ckpt/` — the engine's own `NAUTCKPT` checkpoint store.
+//! * `ckpt/` — the engine's `NAUTCKPT` journal of tool replies.
 //! * `events-NNN.jsonl` — one raw event log per daemon incarnation that
-//!   executed (part of) the run; spliced by [`crate::runner`].
+//!   executed (part of) the run; the last one holds the whole stream
+//!   ([`crate::runner::compose_events`]).
 //!
 //! A job with a `spec` but no `result` is *orphaned* work: the recovery
-//! scan re-adopts it, and the engine's checkpoint discipline guarantees
-//! the resumed search replays bit-for-bit.
+//! scan re-adopts it, and replaying the journal guarantees the resumed
+//! search ends bit-for-bit where an uninterrupted one would.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -203,7 +204,7 @@ impl JobDir {
         &self.root
     }
 
-    /// The engine's checkpoint directory for this job.
+    /// The engine's checkpoint directory (its journal) for this job.
     #[must_use]
     pub fn checkpoint_dir(&self) -> PathBuf {
         self.root.join("ckpt")

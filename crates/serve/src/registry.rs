@@ -7,14 +7,13 @@
 //! provable: the re-adopting daemon reconstructs the engine purely from
 //! the persisted spec.
 
-use std::thread;
 use std::time::Duration;
 
 use nautilus::{Confidence, HintSet, Query};
 use nautilus_ga::{Genome, ParamSpace, ParamValue};
 use nautilus_noc::hints::fmax_hints;
 use nautilus_noc::router::RouterModel;
-use nautilus_synth::{CostModel, MetricCatalog, MetricExpr, MetricSet};
+use nautilus_synth::{CostModel, MetricCatalog, MetricExpr, MetricSet, SlowModel};
 
 use crate::quota::Backpressure;
 
@@ -95,10 +94,7 @@ pub fn resolve(name: &str, eval_delay_us: u64) -> Result<ResolvedModel, Backpres
         return Ok(resolved);
     }
     Ok(ResolvedModel {
-        model: Box::new(SlowModel {
-            inner: resolved.model,
-            delay: Duration::from_micros(eval_delay_us),
-        }),
+        model: Box::new(SlowModel::new(resolved.model, Duration::from_micros(eval_delay_us))),
         query: resolved.query,
         hints: resolved.hints,
     })
@@ -281,34 +277,6 @@ fn poison() -> ResolvedModel {
     let query = minimize_cost(&model.catalog);
     let hints = HintSet::for_metric("cost").build();
     ResolvedModel { model: Box::new(model), query, hints }
-}
-
-/// Wraps a model with a fixed per-evaluation sleep: a stand-in for slow
-/// EDA tools, so interruption and chaos tests reliably land mid-run.
-/// Results (including simulated tool time) are bit-identical to the
-/// wrapped model's — only wall-clock changes.
-struct SlowModel {
-    inner: Box<dyn CostModel>,
-    delay: Duration,
-}
-
-impl CostModel for SlowModel {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn space(&self) -> &ParamSpace {
-        self.inner.space()
-    }
-    fn catalog(&self) -> &MetricCatalog {
-        self.inner.catalog()
-    }
-    fn evaluate(&self, genome: &Genome) -> Option<MetricSet> {
-        thread::sleep(self.delay);
-        self.inner.evaluate(genome)
-    }
-    fn synth_time(&self, genome: &Genome) -> Duration {
-        self.inner.synth_time(genome)
-    }
 }
 
 #[cfg(test)]

@@ -1,16 +1,19 @@
-//! Executes one job on a scheduler slot: resolve the spec, resume or
-//! start the checkpointed search, and compose crash-stable artifacts.
+//! Executes one job on a scheduler slot: resolve the spec, run the
+//! journaled search (which resumes whatever an earlier incarnation left),
+//! and compose crash-stable artifacts.
 //!
 //! The artifacts are built to one invariant: **a run that was interrupted
 //! any number of times produces byte-identical artifacts to a run that was
 //! never interrupted.** Three pieces make that hold:
 //!
-//! * The engine's checkpoint/resume discipline replays the search
-//!   bit-for-bit ([`nautilus::Nautilus::resume_or_start_reported`]).
+//! * The search journals its tool replies in the job's checkpoint
+//!   directory, and a run over a journal replays it: it re-runs from the
+//!   seed, answers the journaled replies without the tool, and rebuilds
+//!   the outcome, the report and the whole event stream
+//!   ([`nautilus::Nautilus::with_checkpoints`]).
 //! * Every incarnation streams raw events to its own per-line-flushed
-//!   `events-NNN.jsonl`; [`compose_events`] splices the logs at checkpoint
-//!   boundaries, discarding exactly the generation fragments the resumed
-//!   incarnation re-executed.
+//!   `events-NNN.jsonl`, so the final incarnation's log is the stream
+//!   ([`compose_events`]).
 //! * Reports and event streams are normalized the same way the engine's
 //!   own resume tests normalize them: wall-clock, span timings, and
 //!   durability-only events are excluded; everything else must match.
@@ -101,10 +104,9 @@ pub struct RunArtifacts {
     pub events_jsonl: String,
 }
 
-/// Runs `spec` inside `dir`, resuming from the job's checkpoints when an
-/// earlier incarnation left any. `cancel` is the cooperative stop flag:
-/// raising it halts the run at the next generation boundary with a final
-/// checkpoint on disk.
+/// Runs `spec` inside `dir`, replaying the job's journal when an earlier
+/// incarnation left one. `cancel` is the cooperative stop flag: raising it
+/// halts the run at the next generation boundary with its journal synced.
 ///
 /// # Errors
 ///
@@ -121,7 +123,7 @@ pub fn execute(
     let resolved =
         resolve(&spec.model, spec.eval_delay_us).map_err(|b| RunFault::model(b.detail()))?;
     // A create failure loses nothing: the engine never ran, so a fresh
-    // incarnation replays from the surviving checkpoints.
+    // incarnation replays the surviving journal.
     let log = EventLog::create(&dir.next_event_log(), dir.io().clone())
         .map_err(|e| RunFault::durable("job.events", true, e.to_string()))?;
 
@@ -139,14 +141,15 @@ pub fn execute(
         .with_budget(budget)
         .with_checkpoints(dir.checkpoint_dir())
         .with_checkpoint_io(dir.io().clone());
-    let guidance = strategy.confidence().map(|c| (&resolved.hints, Some(c)));
-    let run = engine.resume_or_start_reported(&resolved.query, guidance, spec.seed);
+    let run = match strategy.confidence() {
+        Some(c) => engine.run_guided_reported(&resolved.query, &resolved.hints, Some(c), spec.seed),
+        None => engine.run_baseline_reported(&resolved.query, spec.seed),
+    };
     drop(engine);
     let (outcome, report) = run.map_err(classify_engine_error)?;
 
     // Event-log damage is terminal: some already-emitted lines may be
-    // missing from disk, and a replay incarnation would splice a stream
-    // that silently dropped them.
+    // missing from disk, and this log is the job's stream.
     log.sync().map_err(|m| RunFault::durable("job.events", false, m))?;
 
     let events =
@@ -154,8 +157,8 @@ pub fn execute(
     Ok(artifacts(&outcome, report, events))
 }
 
-/// A checkpoint-write failure aborted the engine mid-run: the last intact
-/// checkpoint still replays bit-for-bit, so the fault is recoverable.
+/// A journal-write failure aborted the engine mid-run: the journal's
+/// intact records still replay bit-for-bit, so the fault is recoverable.
 /// Everything else is the model's problem.
 fn classify_engine_error(e: NautilusError) -> RunFault {
     match &e {
@@ -164,8 +167,8 @@ fn classify_engine_error(e: NautilusError) -> RunFault {
     }
 }
 
-/// Runs `spec` start-to-finish in-process with no checkpoints and no
-/// daemon: the uninterrupted comparator the chaos gates diff against.
+/// Runs `spec` start-to-finish in-process with no journal and no daemon:
+/// the uninterrupted comparator the chaos gates diff against.
 ///
 /// # Errors
 ///
@@ -236,7 +239,6 @@ fn is_durability_event(line: &str) -> bool {
             | "checkpoint_restored"
             | "checkpoint_corrupt_skipped"
             | "run_interrupted"
-            | "run_resumed"
     )
 }
 
@@ -273,75 +275,17 @@ pub fn outcome_json(outcome: &SearchOutcome) -> String {
     o.finish()
 }
 
-/// Splices the job's per-incarnation event logs into the single stream an
-/// uninterrupted run would have produced (before normalization).
-///
-/// For every incarnation that was followed by another: if the successor
-/// resumed from checkpoint generation `G`, the predecessor's log is cut
-/// just after its `checkpoint_written` line for `G` — everything past
-/// that point belongs to generation work the successor re-executed. If
-/// the successor started fresh (no intact checkpoint survived), the
-/// predecessor's events are discarded wholesale. Lines truncated mid-write
-/// by a kill are dropped.
+/// The job's event stream: the final incarnation's log, which holds the
+/// whole run, since a run over a journal re-emits every event. Lines
+/// truncated mid-write by a kill are dropped.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures reading the logs.
+/// Propagates I/O failures reading the log.
 pub fn compose_events(dir: &JobDir) -> std::io::Result<Vec<String>> {
-    let mut spliced: Vec<String> = Vec::new();
-    let logs = dir.event_logs();
-    for path in &logs {
-        let lines = read_complete_lines(path)?;
-        match restored_generation(&lines) {
-            Restore::Fresh => spliced.clear(),
-            Restore::FromCheckpoint(generation) => {
-                truncate_at_checkpoint(&mut spliced, generation);
-            }
-        }
-        spliced.extend(lines);
-    }
-    Ok(spliced)
-}
-
-enum Restore {
-    /// The incarnation started (or restarted) the search from scratch.
-    Fresh,
-    /// The incarnation resumed from this checkpoint generation.
-    FromCheckpoint(u64),
-}
-
-/// What the incarnation's opening events say about how it started. The
-/// recovery replay emits `checkpoint_restored` before any run event, so
-/// scanning for the first run-ish event terminates the search early.
-fn restored_generation(lines: &[String]) -> Restore {
-    for line in lines {
-        let Ok(value) = parse_json(line) else { continue };
-        match value.get("type").and_then(JsonValue::as_str) {
-            Some("checkpoint_restored") => {
-                if let Some(generation) = value.get("generation").and_then(JsonValue::as_u64) {
-                    return Restore::FromCheckpoint(generation);
-                }
-            }
-            Some("checkpoint_corrupt_skipped") | None => continue,
-            Some(_) => break,
-        }
-    }
-    Restore::Fresh
-}
-
-/// Cuts `spliced` just after the `checkpoint_written` line for
-/// `generation`. When the line is absent the kill raced the event flush:
-/// the log already ends at (or before) that checkpoint boundary, so the
-/// whole prefix stands.
-fn truncate_at_checkpoint(spliced: &mut Vec<String>, generation: u64) {
-    for (idx, line) in spliced.iter().enumerate().rev() {
-        let Ok(value) = parse_json(line) else { continue };
-        if value.get("type").and_then(JsonValue::as_str) == Some("checkpoint_written")
-            && value.get("generation").and_then(JsonValue::as_u64) == Some(generation)
-        {
-            spliced.truncate(idx + 1);
-            return;
-        }
+    match dir.event_logs().last() {
+        Some(path) => read_complete_lines(path),
+        None => Ok(Vec::new()),
     }
 }
 
@@ -508,9 +452,8 @@ mod tests {
         let dir = JobDir::create(&root, 1).unwrap();
         let s = spec("ridge", "guided-strong");
 
-        // First incarnation: cancel before it starts a single generation
-        // boundary... too racy. Instead cancel immediately: the budget
-        // fires at the first boundary, leaving a checkpoint behind.
+        // First incarnation: cancel immediately, so the budget fires at
+        // the first boundary with the journal synced.
         let cancel = Arc::new(AtomicBool::new(true));
         let first = execute(&s, &dir, &cancel).unwrap();
         assert_eq!(first.stop, StopReason::Cancelled);

@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use nautilus_serve::job::{JobPhase, JobSpec};
+use nautilus_serve::job::{JobDir, JobPhase, JobSpec};
 use nautilus_serve::proto::Reply;
 use nautilus_serve::quota::TenantQuota;
 use nautilus_serve::{runner, ServeClient};
@@ -49,21 +49,24 @@ fn spawn_daemon(dir: &Path) -> (Child, ServeClient) {
     }
 }
 
-/// Counts durable checkpoint records across every job under `dir`.
-fn checkpoints_on_disk(dir: &Path) -> usize {
+/// Journal progress across every job under `dir`: the
+/// `checkpoint_written` lines in each job's newest event log. A run over
+/// a journal re-emits one per boundary it crosses, replayed or live, so
+/// the sum grows only as the jobs get further.
+fn boundaries_crossed(dir: &Path) -> usize {
     let Ok(jobs) = std::fs::read_dir(dir.join("jobs")) else { return 0 };
     jobs.flatten()
-        .filter_map(|job| std::fs::read_dir(job.path().join("ckpt")).ok())
-        .flat_map(|entries| entries.flatten())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "nckpt"))
-        .count()
+        .filter_map(|job| JobDir::open(job.path()).event_logs().pop())
+        .filter_map(|log| std::fs::read_to_string(log).ok())
+        .map(|text| text.matches("\"type\":\"checkpoint_written\"").count())
+        .sum()
 }
 
 /// Waits until the daemon has made durable progress worth losing: at
-/// least `want` checkpoint records on disk.
+/// least `want` generation boundaries crossed.
 fn wait_for_checkpoints(dir: &Path, want: usize) {
     let deadline = Instant::now() + Duration::from_secs(60);
-    while checkpoints_on_disk(dir) < want {
+    while boundaries_crossed(dir) < want {
         assert!(Instant::now() < deadline, "no durable progress to destroy");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -107,8 +110,8 @@ fn killing_the_daemon_twice_mid_run_changes_nothing() {
     sigkill(child);
 
     // Second incarnation re-adopts; kill it again once it has progressed
-    // further (more checkpoint records than we killed the first one at).
-    let before = checkpoints_on_disk(&dir);
+    // further (more boundaries crossed than when we killed the first one).
+    let before = boundaries_crossed(&dir);
     let (child, _client) = spawn_daemon(&dir);
     wait_for_checkpoints(&dir, before + 2);
     sigkill(child);
@@ -180,8 +183,8 @@ fn sigterm_drains_and_the_next_incarnation_finishes_the_job() {
     let job = client.submit(&spec).unwrap().expect("admitted");
     wait_for_checkpoints(&dir, 1);
 
-    // SIGTERM: the daemon parks the run at a generation boundary with a
-    // final checkpoint and exits cleanly on its own.
+    // SIGTERM: the daemon parks the run at a generation boundary with its
+    // journal synced and exits cleanly on its own.
     unsafe {
         extern "C" {
             fn kill(pid: i32, sig: i32) -> i32;

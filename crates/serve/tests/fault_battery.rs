@@ -11,9 +11,11 @@
 //! * `daemon.endpoint` — startup fails with a typed error; no daemon.
 //! * `job.spec` — submission gets a typed `Error` reply, the half-born
 //!   job dir is removed, and the daemon keeps serving.
-//! * `ckpt.*`, `job.result`, and the `job.events` log *creation* —
-//!   recoverable: the job is requeued in-incarnation and finishes with
-//!   artifacts byte-identical to an uninterrupted run.
+//! * `ckpt.*` (the journal's creation, its appends and its syncs),
+//!   `job.result`, and the `job.events` log *creation* — recoverable:
+//!   the job is requeued in-incarnation, replays the journal's intact
+//!   records, and finishes with artifacts byte-identical to an
+//!   uninterrupted run.
 //! * `job.events` appends and the final sync — terminal: replaying
 //!   would silently drop already-logged lines, so the job fails typed,
 //!   without tripping the model's circuit breaker.
@@ -195,13 +197,24 @@ fn scenarios_for(site: &str, indices: &[u64]) -> Vec<(u64, IoFaultKind, Expect)>
     match site {
         "daemon.endpoint" => vec![(first, IoFaultKind::WriteEnospc, Expect::StartFails)],
         "job.spec" => vec![(first, IoFaultKind::WriteEnospc, Expect::SubmitRefused)],
-        // Checkpoints and the result record are written with the full
-        // atomic discipline; any failure there is recoverable.
-        "ckpt.gen" => vec![
-            (first, IoFaultKind::SyncFail, Expect::Survives),
-            (last, IoFaultKind::RenameFail, Expect::Survives),
+        // The journal: created with the full atomic discipline, then one
+        // append per scoring batch and one sync per boundary. Any failure
+        // stops the run with a checkpoint error, and the requeued run
+        // replays whatever intact records the journal holds.
+        "ckpt.create" => vec![
+            (first, IoFaultKind::Torn, Expect::Survives),
+            (last, IoFaultKind::DirSyncFail, Expect::Survives),
         ],
-        "ckpt.best" => vec![(first, IoFaultKind::RenameFail, Expect::Survives)],
+        "ckpt.append" => vec![
+            (first, IoFaultKind::Torn, Expect::Survives),
+            (last, IoFaultKind::WriteEnospc, Expect::Survives),
+        ],
+        "ckpt.sync" => vec![
+            (first, IoFaultKind::SyncFail, Expect::Survives),
+            (last, IoFaultKind::SyncFail, Expect::Survives),
+        ],
+        // The result record is written atomically; a failure there is
+        // recoverable.
         "job.result" => vec![(first, IoFaultKind::RenameFail, Expect::Survives)],
         // occurrence 0 is the log file creation (recoverable: the engine
         // has not run), the middle ones are line appends, the last is
@@ -238,7 +251,15 @@ fn every_first_write_point_fault_is_survived_or_typed() {
     sites.sort();
     sites.dedup();
     // The census must see every durable surface of a job's lifetime.
-    for required in ["daemon.endpoint", "job.spec", "job.events", "ckpt.gen", "job.result"] {
+    for required in [
+        "daemon.endpoint",
+        "job.spec",
+        "job.events",
+        "ckpt.create",
+        "ckpt.append",
+        "ckpt.sync",
+        "job.result",
+    ] {
         assert!(sites.iter().any(|s| s == required), "census missed {required}: {sites:?}");
     }
     for site in &sites {
@@ -280,9 +301,9 @@ fn full_battery_first_and_last_write_points_all_worker_counts() {
 fn exhausted_requeues_park_the_job_for_the_next_incarnation() {
     let workers = 1;
     let points = census(workers);
-    let ckpt = site_indices(&points, "ckpt.gen");
+    let ckpt = site_indices(&points, "ckpt.sync");
 
-    // Incarnation one: zero requeue budget, so the first checkpoint
+    // Incarnation one: zero requeue budget, so the first journal sync
     // fault parks the job Queued-but-not-enqueued instead of retrying.
     let dir = tempdir("park");
     let io = DurableIo::with_plan(IoFaultPlan::new().fail_at(ckpt[0], IoFaultKind::SyncFail));

@@ -71,7 +71,7 @@ pub use expr::{ExprDisplay, MetricExpr};
 pub use faults::{FaultPlan, FaultyEvaluator, InjectedFault};
 pub use job::{JobStats, SynthJobRunner};
 pub use metric::{MetricCatalog, MetricDef, MetricId, MetricSet};
-pub use model::CostModel;
+pub use model::{CostModel, SlowModel};
 
 #[cfg(test)]
 mod tests {

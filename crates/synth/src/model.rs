@@ -57,6 +57,55 @@ pub trait CostModel: Send + Sync {
     }
 }
 
+/// Wraps a cost model with a fixed sleep per evaluation: a stand-in for a
+/// slow EDA tool, so interruption and chaos runs reliably land mid-search.
+/// Values and simulated tool time are the wrapped model's; only
+/// wall-clock time changes.
+pub struct SlowModel<'m> {
+    inner: Box<dyn CostModel + 'm>,
+    delay: Duration,
+}
+
+impl<'m> SlowModel<'m> {
+    /// Wraps `inner`, sleeping `delay` before every evaluation.
+    #[must_use]
+    pub fn new(inner: Box<dyn CostModel + 'm>, delay: Duration) -> SlowModel<'m> {
+        SlowModel { inner, delay }
+    }
+}
+
+impl std::fmt::Debug for SlowModel<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SlowModel")
+            .field("inner", &self.inner.name())
+            .field("delay", &self.delay)
+            .finish()
+    }
+}
+
+impl CostModel for SlowModel<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn space(&self) -> &ParamSpace {
+        self.inner.space()
+    }
+
+    fn catalog(&self) -> &MetricCatalog {
+        self.inner.catalog()
+    }
+
+    fn evaluate(&self, genome: &Genome) -> Option<MetricSet> {
+        std::thread::sleep(self.delay);
+        self.inner.evaluate(genome)
+    }
+
+    fn synth_time(&self, genome: &Genome) -> Duration {
+        self.inner.synth_time(genome)
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod testing {
     //! A tiny closed-form model shared by this crate's tests.

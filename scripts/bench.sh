@@ -11,10 +11,9 @@
 # round-trip latency through a `nautilus-serve` daemon.
 #
 # Perf floors (enforced by evalbench --floors, non-zero exit on
-# regression): the indexed dataset-query speedup must stay >= 5x, the
-# 1-worker eval configuration >= 0.99x serial, every batched
-# configuration >= 0.90x serial, and batched eval strictly faster than
-# serial on hosts with >= 2 threads. The floors auto-skip when this host
+# regression): the indexed dataset-query speedup must stay >= 5x, every
+# batched configuration >= 0.90x serial, and batched eval strictly
+# faster than serial on hosts with >= 2 threads. The floors auto-skip when this host
 # has fewer threads than the committed run recorded in `host_threads` —
 # a smaller host cannot reproduce them.
 

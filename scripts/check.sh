@@ -137,7 +137,7 @@ if ! grep -qxF "$want" <<< "$out"; then
 fi
 
 echo "==> daemon-sweep outcome digest (offline benchmark build)"
-# Two tenants sweep checkpointed jobs through a 2-slot daemon over TCP.
+# Two tenants sweep journaled jobs through a 2-slot daemon over TCP.
 # The run exits nonzero unless every job equals its straight twin, and a
 # speed-only change must keep the digest of its first 128 jobs.
 want="digest workload=daemon-sweep seed=1 outcomes=128 fnv64=7daced159f132653"
@@ -390,8 +390,17 @@ start_daemon() {
     echo "nautilus-serve never answered a ping" >&2
     exit 1
 }
-ckpt_count() {
-    find "$servedir/jobs" -name '*.nckpt' 2>/dev/null | wc -l
+# Journal progress across every job: the `checkpoint_written` lines in each
+# job's newest event log. A run over a journal re-emits one per boundary it
+# crosses, replayed or live, so the sum grows only as the jobs get further.
+boundaries_crossed() {
+    local total=0 job log
+    for job in "$servedir"/jobs/*/; do
+        log="$(find "$job" -maxdepth 1 -name 'events-*.jsonl' 2>/dev/null | LC_ALL=C sort | tail -n 1)"
+        [ -n "$log" ] || continue
+        total=$((total + $(grep -c '"type":"checkpoint_written"' "$log" || true)))
+    done
+    echo "$total"
 }
 wait_dead() {
     # `wait` cannot reap a disowned pid; poll until the process is gone.
@@ -404,9 +413,9 @@ wait_dead() {
     echo "nautilus-serve (pid $1) refused to die" >&2
     exit 1
 }
-wait_for_ckpts() {
+wait_for_boundaries() {
     for _ in $(seq 1 2000); do
-        if [ "$(ckpt_count)" -ge "$1" ]; then
+        if [ "$(boundaries_crossed)" -ge "$1" ]; then
             return 0
         fi
         sleep 0.01
@@ -429,14 +438,14 @@ for spec in $SPECS; do
     JOB_IDS="$JOB_IDS $id"
 done
 
-# Kill #1 once the first durable checkpoints exist; kill #2 after the
-# second incarnation has re-adopted the jobs and progressed further.
-wait_for_ckpts 2
+# Kill #1 once the jobs have crossed two generation boundaries; kill #2
+# after the second incarnation has re-adopted them and got further.
+wait_for_boundaries 2
 kill -9 "$SERVE_PID" 2>/dev/null
 wait_dead "$SERVE_PID"
-before="$(ckpt_count)"
+before="$(boundaries_crossed)"
 start_daemon
-wait_for_ckpts "$((before + 2))"
+wait_for_boundaries "$((before + 2))"
 kill -9 "$SERVE_PID" 2>/dev/null
 wait_dead "$SERVE_PID"
 

@@ -19,15 +19,15 @@
 //! accounts exactly like the memoized one.
 
 use std::collections::BTreeSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use nautilus::{
-    Confidence, InMemorySink, Nautilus, NautilusError, Query, RetryPolicy, RunBudget, RunReport,
-    SearchEvent, SearchOutcome, SubprocessConfig, SupervisePolicy,
+    CheckpointStore, Confidence, InMemorySink, Nautilus, NautilusError, Query, RetryPolicy,
+    RunBudget, RunReport, SearchEvent, SearchOutcome, SubprocessConfig, SupervisePolicy,
 };
 use nautilus_bench::data::router_dataset;
 use nautilus_bench::subprocess::{chaos_tool_config, router_tool_config, storm_tool_config};
-use nautilus_ga::Genome;
+use nautilus_ga::{GaSettings, Genome};
 use nautilus_noc::hints::fmax_hints;
 use nautilus_synth::{Dataset, FaultPlan, MetricExpr};
 
@@ -549,4 +549,98 @@ fn quarantine_rides_checkpoints_across_the_subprocess_boundary() {
         "interrupt + resume must request exactly the straight run's evaluations"
     );
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// Where the SIGKILL test and its victim meet: named after the test
+/// process, which the victim knows as its parent.
+fn sigkill_dir(test_pid: u32) -> PathBuf {
+    std::env::temp_dir().join(format!("nautilus-subproc-sigkill-{test_pid}"))
+}
+
+/// The search the SIGKILL test kills and recovers: 30 generations through
+/// one mock-synth child that takes 2 ms a request and logs each one.
+fn sigkill_search(
+    model: &dyn nautilus_synth::CostModel,
+    query: &Query,
+    log: &Path,
+    journal: Option<&Path>,
+) -> SearchOutcome {
+    let config = SubprocessConfig::new(tool())
+        .args(["--model", "router", "--slow-ms", "2", "--log"])
+        .arg(log.display().to_string());
+    let mut engine = Nautilus::new(model)
+        .with_settings(GaSettings { generations: 30, elitism: 1, ..GaSettings::default() })
+        .with_subprocess_evaluator(config);
+    if let Some(dir) = journal {
+        engine = engine.with_checkpoints(dir);
+    }
+    engine.run_baseline(query, 23).unwrap()
+}
+
+/// The victim half of `a_sigkilled_run_asks_again_for_at_most_the_batch_in_flight`,
+/// which runs this test in a child process and kills it mid-search. Run
+/// any other way it finds no directory of its parent's and does nothing.
+#[test]
+#[ignore = "the victim half of a SIGKILL test, which runs it in a child process"]
+fn sigkill_victim() {
+    let dir = sigkill_dir(std::os::unix::process::parent_id());
+    if !dir.exists() {
+        return;
+    }
+    let d = router_dataset();
+    let journal = dir.join("journal");
+    sigkill_search(&d.as_model(), &fmax_query(d), &dir.join("victim.log"), Some(&journal));
+}
+
+#[test]
+fn a_sigkilled_run_asks_again_for_at_most_the_batch_in_flight() {
+    let d = router_dataset();
+    let model = d.as_model();
+    let query = fmax_query(d);
+    let dir = sigkill_dir(std::process::id());
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let straight = sigkill_search(&model, &query, &dir.join("straight.log"), None);
+
+    // Kill the victim once its journal holds three batches' worth of
+    // replies: each request takes 2 ms, so it dies in mid-generation.
+    let journal = dir.join("journal");
+    let mut victim = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["sigkill_victim", "--exact", "--ignored", "--test-threads", "1"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn the victim");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    loop {
+        let replies = CheckpointStore::create(&journal).map_or(0, |s| s.journal().replies());
+        if replies >= 30 || victim.try_wait().unwrap().is_some() {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "the victim journaled nothing");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    victim.kill().expect("SIGKILL the victim");
+    victim.wait().unwrap();
+
+    let recovered = sigkill_search(&model, &query, &dir.join("recover.log"), Some(&journal));
+    assert_eq!(recovered, straight, "recovery after SIGKILL diverged from the straight run");
+    // The victim's requests and the recovery's together exceed the
+    // straight run's by at most what the killed scoring batch had asked
+    // for and not yet journaled: a batch has at most a population of
+    // distinct misses, one request each from a clean tool.
+    let count = |log: &str| {
+        let path = dir.join(log);
+        if path.exists() {
+            requests(&path).len()
+        } else {
+            0
+        }
+    };
+    let (straight_n, victim_n, recover_n) =
+        (count("straight.log"), count("victim.log"), count("recover.log"));
+    let excess = victim_n + recover_n - straight_n;
+    eprintln!("requests: straight {straight_n}, victim {victim_n}, recovery {recover_n}");
+    assert!(excess <= GaSettings::default().population, "{excess} requests asked twice");
+    let _ = std::fs::remove_dir_all(&dir);
 }
