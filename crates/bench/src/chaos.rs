@@ -294,7 +294,7 @@ mod tests {
         let a = chaos_digest(1, 1);
         assert_eq!(a, chaos_digest(1, 1), "same seed must reproduce byte-identically");
         assert_ne!(a, chaos_digest(2, 1), "different seeds must inject differently");
-        assert!(nautilus::obs::json::is_valid_json(&a));
+        assert!(nautilus::obs::json::parse_json(&a).is_ok());
         assert!(a.contains("\"evals_failed\""));
         assert!(!a.contains("\"evals_failed\":0"), "10% storm should record failures");
         assert!(!a.contains("workers"), "digest must not leak the worker count");

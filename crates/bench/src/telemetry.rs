@@ -212,7 +212,7 @@ mod tests {
             let events = fs::read_to_string(&a.events_path).unwrap();
             assert!(events.lines().count() > 0, "event stream not empty");
             let report = fs::read_to_string(&a.report_path).unwrap();
-            assert!(nautilus::obs::json::is_valid_json(&report));
+            assert!(nautilus::obs::json::parse_json(&report).is_ok());
             let _ = fs::remove_file(&a.events_path);
             let _ = fs::remove_file(&a.report_path);
         }

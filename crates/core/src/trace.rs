@@ -208,16 +208,6 @@ impl ReachStats {
             censored_mean_generations: mean(&censored_gens),
         }
     }
-
-    /// Fraction of runs that reached the threshold.
-    #[must_use]
-    pub fn success_rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.reached as f64 / self.total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -312,7 +302,6 @@ mod tests {
         let stats = ReachStats::compute(&[a, b], Direction::Minimize, 1.0);
         assert_eq!(stats.reached, 0);
         assert_eq!(stats.total, 2);
-        assert_eq!(stats.success_rate(), 0.0);
         // Survivor-only means are undefined when nobody reached it...
         assert_eq!(stats.mean_evals, None);
         assert_eq!(stats.mean_generations, None);
@@ -334,9 +323,7 @@ mod tests {
         // final generation, removing survivorship bias.
         assert_eq!(stats.censored_mean_evals, Some(20.0));
         assert_eq!(stats.censored_mean_generations, Some(1.0));
-        assert_eq!(stats.success_rate(), 0.5);
         let none = ReachStats::compute(&[], Direction::Minimize, 1.0);
-        assert_eq!(none.success_rate(), 0.0);
         assert_eq!(none.mean_evals, None);
         assert_eq!(none.censored_mean_evals, None);
     }

@@ -137,21 +137,6 @@ impl RunBudget {
         self
     }
 
-    /// The installed cancel flag, if any.
-    #[must_use]
-    pub fn cancel_flag(&self) -> Option<&Arc<AtomicBool>> {
-        self.cancel.as_ref()
-    }
-
-    /// Whether no stopping rule is configured at all.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.max_generations.is_none()
-            && self.max_evaluations.is_none()
-            && self.deadline.is_none()
-            && self.cancel.is_none()
-    }
-
     /// Starts measuring elapsed time for this run's deadline.
     #[must_use]
     pub fn start_timer(&self) -> BudgetTimer {
@@ -252,14 +237,12 @@ mod tests {
     #[test]
     fn unlimited_budget_never_stops() {
         let b = RunBudget::new();
-        assert!(b.is_unlimited());
         assert_eq!(b.stop_reason(u32::MAX, u64::MAX, Duration::MAX), StopReason::Completed);
     }
 
     #[test]
     fn generation_budget_stops_strictly_after_the_cap() {
         let b = RunBudget::new().with_max_generations(5);
-        assert!(!b.is_unlimited());
         assert_eq!(b.stop_reason(5, 0, Duration::ZERO), StopReason::Completed);
         assert_eq!(b.stop_reason(6, 0, Duration::ZERO), StopReason::GenerationBudget);
     }
@@ -339,7 +322,6 @@ mod tests {
         assert_eq!(b.stop_reason(1, 1, Duration::ZERO), StopReason::EvalBudget);
         flag.store(true, Ordering::Release);
         assert_eq!(b.stop_reason(1, 1, Duration::ZERO), StopReason::Cancelled);
-        assert!(b.cancel_flag().is_some());
     }
 
     #[test]

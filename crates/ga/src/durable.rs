@@ -1,10 +1,10 @@
 //! Deterministic I/O fault injection for every durable write point.
 //!
 //! All of Nautilus' crash-recovery guarantees (the checkpoint journal,
-//! job specs, result records, event logs, cancel markers, the daemon
-//! endpoint file) rest on a single discipline: write to a dot-prefixed
-//! temporary, fsync it, rename it over the final name, fsync the
-//! directory entry; or append to a log and fsync it. This module owns
+//! job specs, result records, cancel markers, the daemon endpoint file)
+//! rest on a single discipline: write to a dot-prefixed temporary, fsync
+//! it, rename it over the final name, fsync the directory entry; or
+//! append to the journal and fsync it. This module owns
 //! that discipline behind a [`DurableIo`] handle so that a test harness
 //! can make any individual step fail — deterministically,
 //! by write-point index — and prove the system either surfaces a typed
@@ -16,8 +16,8 @@
 //!   all (`inner: None`); every operation is a direct call into `std::fs`
 //!   with one branch on an `Option`.
 //! * **Deterministic indices.** Each logical durable operation (one
-//!   atomic write, one log append, one explicit sync, one file create)
-//!   consumes exactly one index from a shared counter. With a single
+//!   atomic write, one journal append, one explicit sync) consumes
+//!   exactly one index from a shared counter. With a single
 //!   writer the sequence is reproducible run-over-run, which is what lets
 //!   the fault battery enumerate write points from a census run and then
 //!   replay the same workload failing each point in turn. An atomic write
@@ -25,7 +25,7 @@
 //!   (`DurableIo::reserve`), so moving the I/O off a thread never moves
 //!   the index.
 //! * **Site labels.** Callers tag every operation with a stable site
-//!   string (`ckpt.append`, `job.spec`, `job.events`, ...) so a census can
+//!   string (`ckpt.append`, `job.spec`, `job.result`, ...) so a census can
 //!   group indices by what the write protects, and injected errors name
 //!   the site they hit.
 //!
@@ -174,7 +174,7 @@ struct IoState {
 ///
 /// Clones share the same counter, plan, and census, so one handle can be
 /// threaded through every layer of a process (checkpoint journal, job
-/// dirs, event logs, endpoint file) and observe a single global
+/// dirs, endpoint file) and observe a single global
 /// write-point sequence.
 #[derive(Debug, Clone, Default)]
 pub struct DurableIo {
@@ -345,22 +345,6 @@ impl DurableIo {
         Ok(())
     }
 
-    /// Creates (truncating) a plain file, e.g. an append-only log.
-    /// Consumes one write point; `WriteEnospc` is the only kind that can
-    /// fire here (creation is a data write against a full disk).
-    ///
-    /// # Errors
-    ///
-    /// Any real filesystem error, or the injected fault for this point.
-    pub fn create(&self, path: &Path, site: &str) -> io::Result<fs::File> {
-        if let Some((index, kind)) = self.next(site) {
-            if matches!(kind, IoFaultKind::WriteEnospc) {
-                return Err(Self::fault(site, index, kind));
-            }
-        }
-        fs::File::create(path)
-    }
-
     /// Appends `bytes` to an open log file. Consumes one write point.
     /// `WriteEnospc` fails before any byte lands; `Torn` lands a prefix
     /// and then fails — the shape of a crash mid-append.
@@ -380,29 +364,6 @@ impl DurableIo {
             }
         }
         file.write_all(bytes)
-    }
-
-    /// Fsyncs an open file. Consumes one write point; `SyncFail` and
-    /// `DirSyncFail` both fire here (an explicit sync is an explicit
-    /// sync, whatever it protects).
-    ///
-    /// # Errors
-    ///
-    /// Any real filesystem error, or the injected fault for this point.
-    pub fn sync(&self, file: &fs::File, site: &str) -> io::Result<()> {
-        Self::sync_at(file, site, self.next(site))
-    }
-
-    /// [`DurableIo::sync`] at a write point already taken.
-    fn sync_at(
-        file: &fs::File,
-        site: &str,
-        injected: Option<(u64, IoFaultKind)>,
-    ) -> io::Result<()> {
-        if let Some((index, kind @ (IoFaultKind::SyncFail | IoFaultKind::DirSyncFail))) = injected {
-            return Err(Self::fault(site, index, kind));
-        }
-        file.sync_all()
     }
 
     /// Removes stray dot-prefixed `.tmp` files under `dir` — the residue
@@ -440,9 +401,16 @@ impl ReservedWrite {
         DurableIo::replace(dir, final_name, bytes, &self.site, self.injected)
     }
 
-    /// [`DurableIo::sync`] at this write point.
+    /// Fsyncs `file` at this write point. `SyncFail` and `DirSyncFail`
+    /// both fire here (an explicit sync is an explicit sync, whatever it
+    /// protects).
     pub(crate) fn sync(self, file: &fs::File) -> io::Result<()> {
-        DurableIo::sync_at(file, &self.site, self.injected)
+        if let Some((index, kind @ (IoFaultKind::SyncFail | IoFaultKind::DirSyncFail))) =
+            self.injected
+        {
+            return Err(DurableIo::fault(&self.site, index, kind));
+        }
+        file.sync_all()
     }
 }
 
@@ -475,14 +443,14 @@ mod tests {
         let dir = tempdir("census");
         let io = DurableIo::census();
         io.write_atomic(&dir, "a.bin", b"one", "site.a").unwrap();
-        let log = io.create(&dir.join("log"), "site.log").unwrap();
+        let log = fs::File::create(dir.join("log")).unwrap();
         io.append(&log, b"line\n", "site.log").unwrap();
-        io.sync(&log, "site.log").unwrap();
+        io.reserve("site.log").sync(&log).unwrap();
         let points = io.write_points();
         let sites: Vec<&str> = points.iter().map(|p| p.site.as_str()).collect();
-        assert_eq!(sites, ["site.a", "site.log", "site.log", "site.log"]);
+        assert_eq!(sites, ["site.a", "site.log", "site.log"]);
         assert_eq!(points[0].index, 0);
-        assert_eq!(points[3].index, 3);
+        assert_eq!(points[2].index, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -523,8 +491,8 @@ mod tests {
     #[test]
     fn torn_append_lands_a_prefix_then_fails() {
         let dir = tempdir("torn-append");
-        let io = DurableIo::with_plan(IoFaultPlan::new().fail_at(1, IoFaultKind::Torn));
-        let log = io.create(&dir.join("log"), "t").unwrap();
+        let io = DurableIo::with_plan(IoFaultPlan::new().fail_at(0, IoFaultKind::Torn));
+        let log = fs::File::create(dir.join("log")).unwrap();
         let err = io.append(&log, b"abcdefgh", "t").unwrap_err();
         assert!(err.to_string().contains("torn_write"), "{err}");
         assert_eq!(fs::read(dir.join("log")).unwrap(), b"abcd");

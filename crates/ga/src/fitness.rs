@@ -45,16 +45,6 @@ impl Direction {
         }
     }
 
-    /// The better of two raw values.
-    #[must_use]
-    pub fn best_of(self, a: f64, b: f64) -> f64 {
-        if self.is_better(a, b) {
-            a
-        } else {
-            b
-        }
-    }
-
     /// The worst-possible raw value under this direction.
     #[must_use]
     pub fn worst_value(self) -> f64 {
@@ -193,8 +183,6 @@ mod tests {
         assert!(Direction::Maximize.is_better(3.0, 2.0));
         assert!(!Direction::Maximize.is_better(2.0, 2.0));
         assert!(Direction::Minimize.is_better(2.0, 3.0));
-        assert_eq!(Direction::Maximize.best_of(1.0, 5.0), 5.0);
-        assert_eq!(Direction::Minimize.best_of(1.0, 5.0), 1.0);
     }
 
     #[test]

@@ -78,15 +78,6 @@ impl Genome {
         self.genes[id.index()] = value;
     }
 
-    /// Overwrites the gene at raw position `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= self.len()`.
-    pub fn set_gene_at(&mut self, idx: usize, value: u32) {
-        self.genes[idx] = value;
-    }
-
     /// Exchanges the gene at raw position `idx` with `other`'s: the step
     /// every crossover operator recombines with.
     ///
@@ -182,7 +173,7 @@ mod tests {
     fn mutation_of_genes() {
         let mut g = Genome::from_genes(vec![0, 0]);
         g.set_gene(ParamId(1), 3);
-        g.set_gene_at(0, 2);
+        g.set_gene(ParamId(0), 2);
         assert_eq!(g.genes(), &[2, 3]);
         let mut h = Genome::from_genes(vec![7, 8]);
         g.swap_gene_at(&mut h, 1);

@@ -41,15 +41,6 @@ impl ParamValue {
             _ => None,
         }
     }
-
-    /// Returns the symbolic payload, if this is a [`ParamValue::Sym`].
-    #[must_use]
-    pub fn as_sym(&self) -> Option<&str> {
-        match self {
-            ParamValue::Sym(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ParamValue {
@@ -95,7 +86,6 @@ mod tests {
         assert_eq!(ParamValue::Int(3).as_i64(), Some(3));
         assert_eq!(ParamValue::Int(3).as_bool(), None);
         assert_eq!(ParamValue::Bool(true).as_bool(), Some(true));
-        assert_eq!(ParamValue::Sym("wavefront".into()).as_sym(), Some("wavefront"));
         assert_eq!(ParamValue::Sym("x".into()).as_i64(), None);
     }
 

@@ -439,15 +439,13 @@ pub enum SearchEvent {
         /// rather than restart from generation zero.
         resumable: bool,
     },
-    /// A durable write (checkpoint, job spec, result record, event log,
-    /// cancel marker, endpoint file) failed — disk full, fsync error,
-    /// blocked rename. Durable-state writers never swallow these; the
-    /// event names what broke so operators can tell a hostile
-    /// environment from a software fault.
+    /// A durable write (journal, job spec, result record, cancel marker)
+    /// failed — disk full, fsync error, blocked rename. Durable-state
+    /// writers never swallow these; the event names what broke so
+    /// operators can tell a hostile environment from a software fault.
     DurableWriteFailed {
-        /// Stable write-site label (`ckpt.sync`, `job.spec`,
-        /// `job.events`, `job.result`, `job.cancel`,
-        /// `daemon.endpoint`, ...).
+        /// Stable write-site label: `ckpt` (any journal write), `job.spec`,
+        /// `job.result` or `job.cancel`.
         site: String,
         /// Deterministic failure label (`enospc`, `sync_fail`,
         /// `rename_fail`, `torn_write`, `dir_sync_fail`, or `io` for an
@@ -702,7 +700,7 @@ impl SearchEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::is_valid_json;
+    use crate::json::parse_json;
 
     fn samples() -> Vec<SearchEvent> {
         vec![
@@ -796,7 +794,7 @@ mod tests {
     fn every_event_serializes_to_valid_json_with_type_tag() {
         for e in samples() {
             let json = e.to_json();
-            assert!(is_valid_json(&json), "invalid: {json}");
+            assert!(parse_json(&json).is_ok(), "invalid: {json}");
             assert!(
                 json.starts_with(&format!("{{\"type\":\"{}\"", e.kind())),
                 "missing type tag: {json}"
@@ -817,7 +815,7 @@ mod tests {
         };
         let json = e.to_json();
         assert!(json.contains("\"best\":null"), "{json}");
-        assert!(is_valid_json(&json));
+        assert!(parse_json(&json).is_ok());
     }
 
     #[test]

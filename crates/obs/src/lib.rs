@@ -11,7 +11,8 @@
 //!    typed [`SearchEvent`]s. The default [`noop`] observer reports
 //!    itself disabled so emitters pay one predictable branch and never
 //!    allocate. [`JsonlSink`] streams events as JSON Lines;
-//!    [`InMemorySink`] buffers them for tests; [`Fanout`] broadcasts to
+//!    [`InMemorySink`] buffers them, for tests and for a caller that
+//!    builds artifacts from a run's stream; [`Fanout`] broadcasts to
 //!    several observers at once.
 //! 2. **Per-run reports** — [`ReportBuilder`], the one fold of the event
 //!    stream, aggregates one run's events into a [`RunReport`]

@@ -870,7 +870,7 @@ impl SearchObserver for ReportBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::is_valid_json;
+    use crate::json::parse_json;
 
     fn feed(builder: &ReportBuilder, events: &[SearchEvent]) {
         for e in events {
@@ -1012,7 +1012,7 @@ mod tests {
             ],
         );
         let json = builder.finish().to_json();
-        assert!(is_valid_json(&json), "invalid report json: {json}");
+        assert!(parse_json(&json).is_ok(), "invalid report json: {json}");
         assert!(json.contains("\"schema_version\":11"));
         assert!(json.contains("\"eval_batches\":0"));
         assert!(json.contains("\"durable_write_failures\":0"));
@@ -1050,7 +1050,7 @@ mod tests {
         let report = builder.finish();
         assert_eq!(report.phases, phases);
         let json = report.to_json();
-        assert!(is_valid_json(&json), "invalid report json: {json}");
+        assert!(parse_json(&json).is_ok(), "invalid report json: {json}");
         assert!(json.contains(
             "\"run\":{\"count\":1,\"total_nanos\":2000,\"self_nanos\":1000,\
              \"max_nanos\":2000,\"percent_of_wall\":100.0}"
@@ -1173,7 +1173,7 @@ mod tests {
         assert_eq!(h.breaker_recoveries, 1);
         assert_eq!(h.evals_shed, 3);
         assert_eq!(h.breaker_state, "closed");
-        assert!(is_valid_json(&h.to_json()));
+        assert!(parse_json(&h.to_json()).is_ok());
     }
 
     #[test]
@@ -1196,7 +1196,7 @@ mod tests {
         assert_eq!(s.respawned, 1);
         assert_eq!(s.protocol_errors, 1);
         assert!(s.reconciles());
-        assert!(is_valid_json(&s.to_json()));
+        assert!(parse_json(&s.to_json()).is_ok());
     }
 
     #[test]
@@ -1225,7 +1225,7 @@ mod tests {
         assert_eq!(s.rejected, 1);
         assert_eq!(s.adopted, 1);
         assert!(s.reconciles());
-        assert!(is_valid_json(&s.to_json()));
+        assert!(parse_json(&s.to_json()).is_ok());
     }
 
     #[test]
@@ -1261,7 +1261,7 @@ mod tests {
         assert_eq!(e.conn_stalls, 2);
         assert_eq!(e.accept_backoffs, 1);
         assert_eq!(e.dedupe_hits, 1);
-        assert!(is_valid_json(&e.to_json()));
+        assert!(parse_json(&e.to_json()).is_ok());
     }
 
     #[test]
@@ -1321,7 +1321,7 @@ mod tests {
         let report = ReportBuilder::new().finish();
         assert!(report.best_value.is_nan());
         assert!(report.generations.is_empty());
-        assert!(is_valid_json(&report.to_json()));
+        assert!(parse_json(&report.to_json()).is_ok());
     }
 
     #[test]

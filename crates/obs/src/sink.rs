@@ -1,5 +1,4 @@
-//! Event sinks: an in-memory buffer for tests and a streaming JSONL
-//! writer for run artifacts.
+//! Event sinks: an in-memory buffer and a streaming JSONL writer.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -11,8 +10,9 @@ use crate::observer::SearchObserver;
 
 /// Buffers every event in memory, in arrival order.
 ///
-/// Intended for tests: run a search against the sink, then inspect
-/// [`InMemorySink::events`] to reconstruct what happened.
+/// Run a search against the sink, then read [`InMemorySink::events`]:
+/// tests reconstruct what happened this way, and the daemon's runner
+/// builds a job's normalized event stream from it.
 #[derive(Debug, Default)]
 pub struct InMemorySink {
     events: Mutex<Vec<SearchEvent>>,
@@ -145,7 +145,7 @@ impl Drop for JsonlSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::is_valid_json;
+    use crate::json::parse_json;
     use std::sync::{Arc, Mutex as StdMutex};
 
     /// A `Write` handle over a shared byte buffer.
@@ -186,7 +186,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in &lines {
-            assert!(is_valid_json(line), "invalid line: {line}");
+            assert!(parse_json(line).is_ok(), "invalid line: {line}");
         }
         assert!(lines[0].contains("\"type\":\"generation_start\""));
         assert_eq!(sink.write_errors(), 0);

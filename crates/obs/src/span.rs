@@ -373,7 +373,7 @@ impl TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::is_valid_json;
+    use crate::json::parse_json;
 
     fn span(track: u32, phase: Phase, start: u64, dur: u64) -> SpanRecord {
         SpanRecord { track, phase, start_nanos: start, dur_nanos: dur }
@@ -484,7 +484,7 @@ mod tests {
             ],
         );
         let json = tracer.to_chrome_json();
-        assert!(is_valid_json(&json), "invalid: {json}");
+        assert!(parse_json(&json).is_ok(), "invalid: {json}");
         let expected = concat!(
             r#"{"traceEvents":["#,
             r#"{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"merge"}},"#,
@@ -506,7 +506,7 @@ mod tests {
         let bytes = sink.write(&tracer).unwrap();
         let text = std::fs::read_to_string(sink.path()).unwrap();
         assert_eq!(bytes as usize, text.len());
-        assert!(is_valid_json(&text));
+        assert!(parse_json(&text).is_ok());
         assert!(text.contains("\"traceEvents\""));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -62,7 +62,7 @@ pub struct DaemonConfig {
     /// Shed submissions an open breaker absorbs before half-opening.
     pub breaker_cooldown: u32,
     /// Durable-write handle every piece of daemon state (endpoint file,
-    /// job dirs, event logs, checkpoints) writes through. Real
+    /// job records, journals) writes through. Real
     /// filesystem by default; the disk-fault battery arms it with a
     /// deterministic [`nautilus_ga::IoFaultPlan`].
     pub io: DurableIo,
@@ -75,9 +75,9 @@ pub struct DaemonConfig {
     pub conn_read_timeout: Duration,
     /// How long a reply write may block before the connection is closed.
     pub conn_write_timeout: Duration,
-    /// In-incarnation retries a job gets after a *recoverable* durable
-    /// fault (failed checkpoint or result write) before it is parked for
-    /// the next incarnation.
+    /// In-incarnation retries a job gets after a durable fault (a failed
+    /// journal or result write) before it is parked for the next
+    /// incarnation.
     pub env_requeue_limit: u32,
 }
 
@@ -128,8 +128,8 @@ struct JobEntry {
     cancel: Arc<AtomicBool>,
     user_cancel: bool,
     dir: JobDir,
-    /// Recoverable durable faults absorbed by requeueing this job in
-    /// this incarnation.
+    /// Durable faults absorbed by requeueing this job in this
+    /// incarnation.
     env_requeues: u32,
 }
 
@@ -872,45 +872,18 @@ fn finish_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec, dir: &JobDir, resul
             }
         }
         Verdict::EnvFault(fault) => {
+            // The environment broke, not the search: the model's breaker
+            // is untouched, and the rerun replays the journal.
             let label = note_durable_failure(&mut state, &fault.message);
             events
                 .push(SearchEvent::DurableWriteFailed { site: fault.site.clone(), detail: label });
-            if fault.recoverable {
-                requeued = requeue_or_park(
-                    &mut state,
-                    &mut events,
-                    shared.cfg.env_requeue_limit,
-                    id,
-                    &fault.to_string(),
-                );
-            } else {
-                // Terminal typed failure that does NOT trip the model's
-                // breaker: the environment broke, not the search.
-                let reply = Reply::Result {
-                    job: id,
-                    phase: JobPhase::Failed,
-                    outcome_json: format!("{{\"error\":{:?}}}", fault.to_string()),
-                    report_json: String::new(),
-                    events_jsonl: String::new(),
-                };
-                let mut second = None;
-                if let Some(entry) = state.jobs.get_mut(&id) {
-                    if let Err(e) = entry.dir.write_result(&reply) {
-                        second = Some(e);
-                    }
-                    entry.phase = JobPhase::Failed;
-                    entry.detail = fault.to_string();
-                }
-                if let Some(e) = second {
-                    let label = note_durable_failure(&mut state, &e.to_string());
-                    events.push(SearchEvent::DurableWriteFailed {
-                        site: "job.result".into(),
-                        detail: label,
-                    });
-                }
-                state.tally.finished += 1;
-                events.push(SearchEvent::JobFinished { job: id, outcome: "failed".into() });
-            }
+            requeued = requeue_or_park(
+                &mut state,
+                &mut events,
+                shared.cfg.env_requeue_limit,
+                id,
+                &fault.to_string(),
+            );
         }
         Verdict::Failed(message) => {
             let reply = Reply::Result {
@@ -969,7 +942,7 @@ fn finish_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec, dir: &JobDir, resul
     }
 }
 
-/// After a recoverable durable fault: requeue the job for another
+/// After a durable fault: requeue the job for another
 /// in-incarnation attempt while it has retries left, otherwise park it
 /// `Queued`-but-not-enqueued so the *next* incarnation re-adopts it.
 /// Returns true when the job went back on the live queue.

@@ -10,9 +10,11 @@
 //! * `cancel` — empty marker recording a user cancel request, so a cancel
 //!   that raced a daemon crash is honoured after restart.
 //! * `ckpt/` — the engine's `NAUTCKPT` journal of tool replies.
-//! * `events-NNN.jsonl` — one raw event log per daemon incarnation that
-//!   executed (part of) the run; the last one holds the whole stream
-//!   ([`crate::runner::compose_events`]).
+//!
+//! Next to them sits `events-live.jsonl`, the raw event stream of the
+//! incarnation that ran the job last ([`JobDir::event_log`]). It is not
+//! a record: the result carries the normalized stream, and each
+//! incarnation starts the log over.
 //!
 //! A job with a `spec` but no `result` is *orphaned* work: the recovery
 //! scan re-adopts it, and replaying the journal guarantees the resumed
@@ -178,8 +180,8 @@ impl JobDir {
     }
 
     /// Routes this job's durable writes (spec, result, cancel marker,
-    /// event logs, checkpoints) through `io` — the fault-injection /
-    /// census handle of [`nautilus_ga::durable`].
+    /// checkpoints) through `io` — the fault-injection / census handle of
+    /// [`nautilus_ga::durable`].
     #[must_use]
     pub fn with_io(mut self, io: DurableIo) -> JobDir {
         self.io = io;
@@ -277,30 +279,11 @@ impl JobDir {
         self.root.join("cancel").exists()
     }
 
-    /// Path for this incarnation's raw event log: the first unused
-    /// `events-NNN.jsonl` name.
+    /// The job's live event log: the raw stream of the incarnation that
+    /// ran the job last, one line per event, for operators to tail.
     #[must_use]
-    pub fn next_event_log(&self) -> PathBuf {
-        let n = self.event_logs().len();
-        self.root.join(format!("events-{n:03}.jsonl"))
-    }
-
-    /// All incarnation event logs, oldest first.
-    #[must_use]
-    pub fn event_logs(&self) -> Vec<PathBuf> {
-        let mut logs: Vec<PathBuf> = fs::read_dir(&self.root)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("events-") && n.ends_with(".jsonl"))
-            })
-            .collect();
-        logs.sort();
-        logs
+    pub fn event_log(&self) -> PathBuf {
+        self.root.join("events-live.jsonl")
     }
 }
 
@@ -352,10 +335,11 @@ mod tests {
         dir.mark_cancel_requested().unwrap();
         assert!(dir.cancel_requested());
 
-        assert_eq!(dir.next_event_log().file_name().unwrap(), "events-000.jsonl");
-        fs::write(dir.next_event_log(), "x\n").unwrap();
-        assert_eq!(dir.next_event_log().file_name().unwrap(), "events-001.jsonl");
-        assert_eq!(dir.event_logs().len(), 1);
+        // perfbench and check.sh find the live log by `events-*.jsonl`.
+        let log = dir.event_log();
+        assert_eq!(log.parent(), Some(dir.path()));
+        let name = log.file_name().unwrap().to_str().unwrap();
+        assert!(name.starts_with("events-") && name.ends_with(".jsonl"), "{name}");
         let _ = fs::remove_dir_all(&root);
     }
 

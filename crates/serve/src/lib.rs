@@ -4,8 +4,8 @@
 //! service. A daemon ([`Daemon`]) listens on localhost, accepts search
 //! submissions over a length-prefixed CRC-trailed wire protocol
 //! ([`proto`]), schedules them across a fixed pool of worker slots, and
-//! persists every job's spec, journal of tool replies, events, and result
-//! under a state directory so that a `SIGKILL` at any instant loses at
+//! persists every job's spec, journal of tool replies, and result under
+//! a state directory so that a `SIGKILL` at any instant loses at
 //! most the tool calls in flight: the next incarnation re-adopts orphaned
 //! jobs and replays their journals, producing byte-identical outcomes.
 //!
@@ -16,13 +16,14 @@
 //!   connection state, which is what makes restarts invisible.
 //! * [`job`] — on-disk layout of a job: spec and result stored as the
 //!   same CRC-protected wire frames that cross the network, plus the
-//!   engine's journal and per-incarnation event logs.
+//!   engine's journal and a live event log.
 //! * [`quota`] — per-tenant admission limits and the typed
 //!   [`Backpressure`] taxonomy returned on refusal.
 //! * [`registry`] — named cost models and strategies, so a persisted
 //!   spec resolves to an identical search in every incarnation.
 //! * [`runner`] — executes one job over its journal (a run there resumes
-//!   or starts), with per-line-flushed event logging.
+//!   or starts), collects its event stream in memory, and mirrors it to
+//!   the job's live log line by line.
 //! * [`daemon`] — the supervisor: queue, worker slots, per-model circuit
 //!   breakers, drain, and crash recovery.
 //! * [`client`] — a small blocking client used by `nautilus-cli` and
@@ -32,7 +33,7 @@
 //! # Hostile environments
 //!
 //! Every durable write (endpoint file, job specs/results/cancel markers,
-//! event logs, the journal) goes through a [`nautilus::DurableIo`]
+//! the journal) goes through a [`nautilus::DurableIo`]
 //! handle ([`DaemonConfig::io`]), so the disk-fault battery can fail any
 //! single write deterministically and prove the daemon either surfaces a
 //! typed error or recovers byte-identically. The service edge sheds

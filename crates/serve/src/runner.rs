@@ -4,30 +4,35 @@
 //!
 //! The artifacts are built to one invariant: **a run that was interrupted
 //! any number of times produces byte-identical artifacts to a run that was
-//! never interrupted.** Three pieces make that hold:
+//! never interrupted.** Two pieces make that hold:
 //!
 //! * The search journals its tool replies in the job's checkpoint
 //!   directory, and a run over a journal replays it: it re-runs from the
 //!   seed, answers the journaled replies without the tool, and rebuilds
 //!   the outcome, the report and the whole event stream
-//!   ([`nautilus::Nautilus::with_checkpoints`]).
-//! * Every incarnation streams raw events to its own per-line-flushed
-//!   `events-NNN.jsonl`, so the final incarnation's log is the stream
-//!   ([`compose_events`]).
+//!   ([`nautilus::Nautilus::with_checkpoints`]). The run collects that
+//!   stream in memory and builds its artifacts from it, as [`straight`]
+//!   does.
 //! * Reports and event streams are normalized the same way the engine's
 //!   own resume tests normalize them: wall-clock, span timings, and
 //!   durability-only events are excluded; everything else must match.
+//!
+//! Each incarnation also writes the raw stream to the job's live log
+//! ([`JobDir::event_log`]) for operators to tail. The log is an output,
+//! not state: nothing reads it back, and a log that cannot be created or
+//! written costs the job nothing.
 
 use std::fs;
+use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use nautilus::{DurableIo, StopReason};
+use nautilus::StopReason;
 use nautilus::{InMemorySink, Nautilus, NautilusError, RunBudget, RunReport, SearchOutcome};
 use nautilus_ga::{GaError, GaSettings};
-use nautilus_obs::json::{is_valid_json, parse_json, JsonObj, JsonValue};
-use nautilus_obs::{SearchEvent, SearchObserver};
+use nautilus_obs::json::JsonObj;
+use nautilus_obs::{noop, Fanout, SearchEvent, SearchObserver};
 
 use crate::job::{JobDir, JobSpec};
 use crate::registry::{resolve, Strategy};
@@ -39,46 +44,30 @@ pub enum FaultClass {
     /// model's circuit breaker.
     Model,
     /// The environment failed a durable write (disk full, fsync error,
-    /// ...) — never trips a breaker; the daemon retries or parks the job.
+    /// ...) — never trips a breaker; the daemon requeues or parks the
+    /// job, and the rerun replays the journal's intact records.
     Durable,
 }
 
-/// A typed execution failure: the class drives breaker accounting, the
-/// `recoverable` flag drives requeue-vs-terminal handling, and `site`
-/// names the durable write that failed (empty for model faults).
+/// A typed execution failure: the class drives breaker accounting, and
+/// `site` names the durable write that failed (empty for model faults).
 #[derive(Debug, Clone)]
 pub struct RunFault {
     /// Who pays: the model's breaker, or nobody.
     pub class: FaultClass,
-    /// Durable-write site label (`job.events`, `ckpt`, ...); empty for
-    /// model faults.
+    /// Durable-write site label (`ckpt`); empty for model faults.
     pub site: String,
-    /// True when a retry from the surviving on-disk state can succeed
-    /// without losing history. Event-log damage is *not* recoverable:
-    /// replaying would drop already-logged lines and break the
-    /// byte-identical artifact invariant.
-    pub recoverable: bool,
     /// Human-readable failure message.
     pub message: String,
 }
 
 impl RunFault {
     pub(crate) fn model(message: impl Into<String>) -> RunFault {
-        RunFault {
-            class: FaultClass::Model,
-            site: String::new(),
-            recoverable: false,
-            message: message.into(),
-        }
+        RunFault { class: FaultClass::Model, site: String::new(), message: message.into() }
     }
 
-    pub(crate) fn durable(site: &str, recoverable: bool, message: impl Into<String>) -> RunFault {
-        RunFault {
-            class: FaultClass::Durable,
-            site: site.to_owned(),
-            recoverable,
-            message: message.into(),
-        }
+    pub(crate) fn durable(site: &str, message: impl Into<String>) -> RunFault {
+        RunFault { class: FaultClass::Durable, site: site.to_owned(), message: message.into() }
     }
 }
 
@@ -112,8 +101,7 @@ pub struct RunArtifacts {
 ///
 /// A typed [`RunFault`]: model faults (unknown strategy/model, engine
 /// error) count against the model's breaker; durable faults (a failed
-/// checkpoint, event-log, or spec write) never do — the caller requeues
-/// recoverable ones and parks the rest.
+/// journal write) never do — the caller requeues the job or parks it.
 pub fn execute(
     spec: &JobSpec,
     dir: &JobDir,
@@ -122,10 +110,15 @@ pub fn execute(
     let strategy = Strategy::parse(&spec.strategy).map_err(|b| RunFault::model(b.detail()))?;
     let resolved =
         resolve(&spec.model, spec.eval_delay_us).map_err(|b| RunFault::model(b.detail()))?;
-    // A create failure loses nothing: the engine never ran, so a fresh
-    // incarnation replays the surviving journal.
-    let log = EventLog::create(&dir.next_event_log(), dir.io().clone())
-        .map_err(|e| RunFault::durable("job.events", true, e.to_string()))?;
+    let sink = InMemorySink::new();
+    // The artifacts come from `sink`, so a job whose live log cannot be
+    // created runs without one.
+    let live = EventLog::create(&dir.event_log()).ok();
+    let live: &dyn SearchObserver = match &live {
+        Some(log) => log,
+        None => noop(),
+    };
+    let observer = Fanout::pair(&sink, live);
 
     let mut budget = RunBudget::new().with_cancel_flag(Arc::clone(cancel));
     if spec.max_evals > 0 {
@@ -136,7 +129,7 @@ pub fn execute(
     }
 
     let engine = Nautilus::new(resolved.model.as_ref())
-        .with_observer(&log)
+        .with_observer(&observer)
         .with_settings(settings_for(spec))
         .with_budget(budget)
         .with_checkpoints(dir.checkpoint_dir())
@@ -145,24 +138,16 @@ pub fn execute(
         Some(c) => engine.run_guided_reported(&resolved.query, &resolved.hints, Some(c), spec.seed),
         None => engine.run_baseline_reported(&resolved.query, spec.seed),
     };
-    drop(engine);
     let (outcome, report) = run.map_err(classify_engine_error)?;
-
-    // Event-log damage is terminal: some already-emitted lines may be
-    // missing from disk, and this log is the job's stream.
-    log.sync().map_err(|m| RunFault::durable("job.events", false, m))?;
-
-    let events =
-        compose_events(dir).map_err(|e| RunFault::durable("job.events", true, e.to_string()))?;
-    Ok(artifacts(&outcome, report, events))
+    Ok(artifacts(&outcome, report, &sink.events()))
 }
 
 /// A journal-write failure aborted the engine mid-run: the journal's
-/// intact records still replay bit-for-bit, so the fault is recoverable.
+/// intact records still replay bit-for-bit, so a rerun loses nothing.
 /// Everything else is the model's problem.
 fn classify_engine_error(e: NautilusError) -> RunFault {
     match &e {
-        NautilusError::Ga(GaError::Checkpoint(_)) => RunFault::durable("ckpt", true, e.to_string()),
+        NautilusError::Ga(GaError::Checkpoint(_)) => RunFault::durable("ckpt", e.to_string()),
         _ => RunFault::model(e.to_string()),
     }
 }
@@ -193,8 +178,7 @@ pub fn straight(spec: &JobSpec) -> Result<RunArtifacts, String> {
             engine.run_baseline_reported(&resolved.query, spec.seed).map_err(|e| e.to_string())?
         }
     };
-    let events: Vec<String> = sink.events().iter().map(SearchEvent::to_json).collect();
-    Ok(artifacts(&outcome, report, events))
+    Ok(artifacts(&outcome, report, &sink.events()))
 }
 
 fn settings_for(spec: &JobSpec) -> GaSettings {
@@ -212,10 +196,10 @@ fn settings_for(spec: &JobSpec) -> GaSettings {
     }
 }
 
-fn artifacts(outcome: &SearchOutcome, report: RunReport, events: Vec<String>) -> RunArtifacts {
+fn artifacts(outcome: &SearchOutcome, report: RunReport, events: &[SearchEvent]) -> RunArtifacts {
     let mut stream = String::new();
-    for line in events.iter().filter(|l| !is_durability_event(l)) {
-        stream.push_str(line);
+    for event in events.iter().filter(|e| !is_durability_event(e)) {
+        stream.push_str(&event.to_json());
         stream.push('\n');
     }
     RunArtifacts {
@@ -228,17 +212,15 @@ fn artifacts(outcome: &SearchOutcome, report: RunReport, events: Vec<String>) ->
 
 /// The event kinds a resume is allowed to differ in: the run's timing and
 /// the durability machinery itself. Mirrors the engine's resume tests.
-fn is_durability_event(line: &str) -> bool {
-    let Ok(value) = parse_json(line) else { return false };
-    let Some(kind) = value.get("type").and_then(JsonValue::as_str) else { return false };
+fn is_durability_event(event: &SearchEvent) -> bool {
     matches!(
-        kind,
-        "run_end"
-            | "eval_batch"
-            | "checkpoint_written"
-            | "checkpoint_restored"
-            | "checkpoint_corrupt_skipped"
-            | "run_interrupted"
+        event,
+        SearchEvent::RunEnd { .. }
+            | SearchEvent::EvalBatch { .. }
+            | SearchEvent::CheckpointWritten { .. }
+            | SearchEvent::CheckpointRestored { .. }
+            | SearchEvent::CheckpointCorruptSkipped { .. }
+            | SearchEvent::RunInterrupted { .. }
     )
 }
 
@@ -275,130 +257,50 @@ pub fn outcome_json(outcome: &SearchOutcome) -> String {
     o.finish()
 }
 
-/// The job's event stream: the final incarnation's log, which holds the
-/// whole run, since a run over a journal re-emits every event. Lines
-/// truncated mid-write by a kill are dropped.
+/// A [`SearchObserver`] that appends every event to a JSONL file, one
+/// unbuffered write per line, so a reader tailing it (or a SIGKILL) sees
+/// whole lines up to at most one torn last line.
 ///
-/// # Errors
-///
-/// Propagates I/O failures reading the log.
-pub fn compose_events(dir: &JobDir) -> std::io::Result<Vec<String>> {
-    match dir.event_logs().last() {
-        Some(path) => read_complete_lines(path),
-        None => Ok(Vec::new()),
-    }
-}
-
-fn read_complete_lines(path: &Path) -> std::io::Result<Vec<String>> {
-    let raw = fs::read_to_string(path)?;
-    let mut lines: Vec<String> = Vec::new();
-    let ends_clean = raw.ends_with('\n');
-    let mut it = raw.lines().peekable();
-    while let Some(line) = it.next() {
-        let last = it.peek().is_none();
-        // A kill mid-write can strand a torn final line; never let it
-        // masquerade as an event.
-        if last && (!ends_clean || !is_valid_json(line)) {
-            break;
-        }
-        lines.push(line.to_owned());
-    }
-    Ok(lines)
-}
-
-/// A [`SearchObserver`] that appends every event to a JSONL file and
-/// flushes per line, so a SIGKILL can lose at most one torn trailing
-/// line — never a flushed prefix.
-///
-/// Write failures **poison** the log: the first error is recorded, every
-/// later event is dropped without touching the file (and without
-/// consuming fault-injection write points), and [`EventLog::sync`]
-/// surfaces the stored fault. A half-written log never silently
-/// masquerades as a complete one.
+/// It writes through the real filesystem, outside the
+/// [`nautilus::DurableIo`] census: a job's live log and the daemon's
+/// service log are outputs for operators, not recovery state, and a
+/// failed write costs the run nothing.
 #[derive(Debug)]
 pub struct EventLog {
-    inner: Mutex<LogInner>,
-}
-
-#[derive(Debug)]
-struct LogInner {
-    file: fs::File,
-    io: DurableIo,
-    site: &'static str,
-    fault: Option<String>,
+    file: Mutex<fs::File>,
 }
 
 impl EventLog {
-    /// Creates (or truncates) the log at `path`, routing appends and
-    /// syncs through `io` under the `job.events` site label.
+    /// Creates (or truncates) the log at `path`: each incarnation starts
+    /// a job's live log over.
     ///
     /// # Errors
     ///
-    /// Propagates file-creation failures (including injected ones).
-    pub fn create(path: &Path, io: DurableIo) -> std::io::Result<EventLog> {
-        let file = io.create(path, "job.events")?;
-        Ok(EventLog { inner: Mutex::new(LogInner { file, io, site: "job.events", fault: None }) })
+    /// Propagates file-creation failures.
+    pub fn create(path: &Path) -> std::io::Result<EventLog> {
+        Ok(EventLog { file: Mutex::new(fs::File::create(path)?) })
     }
 
     /// Opens the log at `path` for appending, creating it if missing —
-    /// the daemon's own lifecycle log spans incarnations this way. The
-    /// service log is advisory telemetry, not recovery-critical state,
-    /// so it always writes through the real filesystem: its appends race
-    /// across connection threads and must not perturb the deterministic
-    /// write-point sequence of the durable job state.
+    /// the daemon's own lifecycle log spans incarnations this way.
     ///
     /// # Errors
     ///
     /// Propagates file-open failures.
     pub fn append(path: &Path) -> std::io::Result<EventLog> {
         let file = fs::OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(EventLog {
-            inner: Mutex::new(LogInner {
-                file,
-                io: DurableIo::real(),
-                site: "daemon.service_log",
-                fault: None,
-            }),
-        })
-    }
-
-    /// Fsyncs everything written so far, surfacing the first append
-    /// failure recorded by [`SearchObserver::on_event`] if there was one.
-    ///
-    /// # Errors
-    ///
-    /// The stored append fault, or the sync failure itself.
-    pub fn sync(&self) -> Result<(), String> {
-        let inner = self.inner.lock().expect("event log lock");
-        if let Some(fault) = &inner.fault {
-            return Err(fault.clone());
-        }
-        inner.io.sync(&inner.file, inner.site).map_err(|e| e.to_string())
-    }
-
-    /// The first append failure, if any event write has failed so far.
-    #[must_use]
-    pub fn fault(&self) -> Option<String> {
-        self.inner.lock().expect("event log lock").fault.clone()
+        Ok(EventLog { file: Mutex::new(file) })
     }
 }
 
 impl SearchObserver for EventLog {
-    fn enabled(&self) -> bool {
-        true
-    }
-
     fn on_event(&self, event: &SearchEvent) {
         let mut line = event.to_json();
         line.push('\n');
-        let Ok(mut inner) = self.inner.lock() else { return };
-        if inner.fault.is_some() {
-            return;
-        }
-        let LogInner { file, io, site, fault } = &mut *inner;
-        if let Err(e) = io.append(file, line.as_bytes(), site) {
-            *fault = Some(format!("event log append failed: {e}"));
-        }
+        // A poisoned lock still guards a valid file, and a failed write
+        // costs only the log line: nothing reads the log back.
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = file.write_all(line.as_bytes());
     }
 }
 
@@ -466,6 +368,12 @@ mod tests {
         assert_eq!(second.outcome_json, straight_side.outcome_json);
         assert_eq!(second.report_json, straight_side.report_json);
         assert_eq!(second.events_jsonl, straight_side.events_jsonl);
+
+        // The second incarnation started the live log over: it holds one
+        // run, the replayed and the live part of it.
+        let log = fs::read_to_string(dir.event_log()).unwrap();
+        assert_eq!(log.matches("\"type\":\"run_start\"").count(), 1, "{log}");
+        assert_eq!(log.matches("\"type\":\"run_end\"").count(), 1, "{log}");
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -481,39 +389,23 @@ mod tests {
         assert!(err.message.contains("unknown strategy"), "{err}");
         let err = execute(&spec("barren", "baseline"), &dir, &cancel).unwrap_err();
         assert_eq!(err.class, FaultClass::Model);
-        assert!(!err.recoverable);
         assert!(err.message.contains("no feasible genome"), "{err}");
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn a_poisoned_event_log_is_a_terminal_durable_fault() {
-        use nautilus_ga::{IoFaultKind, IoFaultPlan};
-        let root = tempdir("poisoned-log");
-        // Write point 0 is the event-log create; point 3 lands mid-run on
-        // an event append, poisoning the log.
-        let io = DurableIo::with_plan(IoFaultPlan::new().fail_at(3, IoFaultKind::WriteEnospc));
-        let dir = JobDir::create(&root, 1).unwrap().with_io(io);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let err = execute(&spec("bowl", "baseline"), &dir, &cancel).unwrap_err();
-        assert_eq!(err.class, FaultClass::Durable);
-        assert_eq!(err.site, "job.events");
-        assert!(!err.recoverable, "event-log damage must not be retried: {err}");
-        assert!(err.message.contains("enospc"), "{err}");
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn torn_trailing_lines_are_dropped() {
-        let root = tempdir("torn");
+    fn an_unwritable_live_log_costs_the_job_nothing() {
+        let root = tempdir("unwritable-log");
         let dir = JobDir::create(&root, 1).unwrap();
-        fs::write(
-            dir.path().join("events-000.jsonl"),
-            "{\"type\":\"run_start\",\"label\":\"baseline\"}\n{\"type\":\"span_st",
-        )
-        .unwrap();
-        let lines = compose_events(&dir).unwrap();
-        assert_eq!(lines.len(), 1, "torn tail dropped: {lines:?}");
+        fs::create_dir(dir.event_log()).unwrap();
+        let s = spec("bowl", "guided-strong");
+        let cancel = Arc::new(AtomicBool::new(false));
+        let daemon_side = execute(&s, &dir, &cancel).unwrap();
+        let straight_side = straight(&s).unwrap();
+        assert_eq!(daemon_side.stop, StopReason::Completed);
+        assert_eq!(daemon_side.outcome_json, straight_side.outcome_json);
+        assert_eq!(daemon_side.report_json, straight_side.report_json);
+        assert_eq!(daemon_side.events_jsonl, straight_side.events_jsonl);
         let _ = fs::remove_dir_all(&root);
     }
 }

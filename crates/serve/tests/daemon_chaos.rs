@@ -50,16 +50,32 @@ fn spawn_daemon(dir: &Path) -> (Child, ServeClient) {
 }
 
 /// Journal progress across every job under `dir`: the
-/// `checkpoint_written` lines in each job's newest event log. A run over
-/// a journal re-emits one per boundary it crosses, replayed or live, so
+/// `checkpoint_written` lines in each job's live event log. A run over a
+/// journal re-emits one per boundary it crosses, replayed or live, so
 /// the sum grows only as the jobs get further.
 fn boundaries_crossed(dir: &Path) -> usize {
     let Ok(jobs) = std::fs::read_dir(dir.join("jobs")) else { return 0 };
     jobs.flatten()
-        .filter_map(|job| JobDir::open(job.path()).event_logs().pop())
-        .filter_map(|log| std::fs::read_to_string(log).ok())
+        .filter_map(|job| std::fs::read_to_string(JobDir::open(job.path()).event_log()).ok())
         .map(|text| text.matches("\"type\":\"checkpoint_written\"").count())
         .sum()
+}
+
+/// The `events-*.jsonl` files in each job directory under `dir`.
+fn event_logs_per_job(dir: &Path) -> Vec<usize> {
+    let jobs = std::fs::read_dir(dir.join("jobs")).unwrap();
+    jobs.flatten()
+        .map(|job| {
+            std::fs::read_dir(job.path())
+                .unwrap()
+                .flatten()
+                .filter(|f| {
+                    let name = f.file_name().to_string_lossy().into_owned();
+                    name.starts_with("events-") && name.ends_with(".jsonl")
+                })
+                .count()
+        })
+        .collect()
 }
 
 /// Waits until the daemon has made durable progress worth losing: at
@@ -133,6 +149,9 @@ fn killing_the_daemon_twice_mid_run_changes_nothing() {
         assert_eq!(report_json, straight.report_json, "report diverged at workers={w}");
         assert_eq!(events_jsonl, straight.events_jsonl, "events diverged at workers={w}");
     }
+    // However many incarnations ran a job, each started its live log
+    // over rather than adding one.
+    assert_eq!(event_logs_per_job(&dir), [1, 1, 1]);
 
     // Graceful goodbye for the survivor.
     let _ = client.drain();
@@ -216,6 +235,7 @@ fn sigterm_drains_and_the_next_incarnation_finishes_the_job() {
     assert_eq!(outcome_json, straight.outcome_json);
     assert_eq!(report_json, straight.report_json);
     assert_eq!(events_jsonl, straight.events_jsonl);
+    assert_eq!(event_logs_per_job(&dir), [1]);
 
     let _ = client.drain();
     sigkill(child);

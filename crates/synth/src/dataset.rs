@@ -363,6 +363,7 @@ impl Dataset {
     /// Serializes the dataset as tab-separated text: one header row with
     /// parameter names then metric names, one row per feasible design.
     /// The format plots directly in gnuplot/pandas.
+    #[cfg(test)]
     #[must_use]
     pub fn to_tsv(&self) -> String {
         let mut out = String::new();

@@ -223,12 +223,14 @@ impl<'a> FaultyEvaluator<'a> {
     }
 
     /// How many hangs have been injected so far.
+    #[cfg(test)]
     #[must_use]
     pub fn injected_hangs(&self) -> u64 {
         self.hangs.load(Ordering::Relaxed)
     }
 
     /// Total injected faults across all kinds, hangs included.
+    #[cfg(test)]
     #[must_use]
     pub fn total_injected(&self) -> u64 {
         self.injected.iter().map(|c| c.load(Ordering::Relaxed)).sum::<u64>()

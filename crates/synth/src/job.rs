@@ -63,6 +63,7 @@ impl JobStats {
 
     /// Fraction of lookups served from the cache (0 when nothing was
     /// looked up yet).
+    #[cfg(test)]
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
         let total = self.total_lookups();
@@ -296,6 +297,7 @@ impl<'m> SynthJobRunner<'m> {
 
     /// Number of memoized entries (feasible and infeasible); zero without
     /// a memo.
+    #[cfg(test)]
     #[must_use]
     pub fn cached_points(&self) -> usize {
         self.memo.as_ref().map_or(0, |memo| lock(memo).len())

@@ -477,12 +477,6 @@ if [ -e "$servedir/endpoint" ]; then
 fi
 rm -rf "$servedir"
 
-echo "==> disk-fault battery: fail every durable write point, workers {1,2,8}"
-# The ignored leg enumerates first+last write-point faults per durable
-# site at every supported eval-worker count; each must end in a typed
-# error or a byte-identical recovery.
-cargo test -q --release --offline -p nautilus-serve --test fault_battery -- --include-ignored
-
 echo "==> hostile-client drill: fuzz flood, stalled peers, connection cap"
 cargo test -q --release --offline -p nautilus-serve --test edge
 

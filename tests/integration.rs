@@ -222,7 +222,7 @@ fn all_shipped_hint_books_resolve_and_run() {
 
 #[test]
 fn telemetry_jsonl_stream_and_report_reconcile_with_job_stats() {
-    use nautilus::obs::json::is_valid_json;
+    use nautilus::obs::json::parse_json;
     use nautilus::JsonlSink;
 
     let model = RouterModel::swept();
@@ -244,7 +244,7 @@ fn telemetry_jsonl_stream_and_report_reconcile_with_job_stats() {
     let lines: Vec<&str> = text.lines().collect();
     assert!(!lines.is_empty(), "event stream not empty");
     for line in &lines {
-        assert!(is_valid_json(line), "invalid JSONL line: {line}");
+        assert!(parse_json(line).is_ok(), "invalid JSONL line: {line}");
     }
     assert!(lines[0].contains("\"type\":\"run_start\""));
     assert!(lines.last().unwrap().contains("\"type\":\"run_end\""));
@@ -262,7 +262,7 @@ fn telemetry_jsonl_stream_and_report_reconcile_with_job_stats() {
     assert_eq!(eval_lines, outcome.jobs.total_lookups());
 
     // The summary report itself is valid JSON and matches the outcome.
-    assert!(is_valid_json(&report.to_json()));
+    assert!(parse_json(&report.to_json()).is_ok());
     assert_eq!(report.strategy, outcome.strategy);
     assert_eq!(report.best_value, outcome.best_value);
     assert_eq!(report.distinct_evals, outcome.jobs.jobs);
